@@ -16,7 +16,6 @@ from .analytic import (
     f_closed,
     margin,
 )
-from .chebyshev import cheb_t, cheb_t_trig, clenshaw_sum
 from .errors import DomainError, ToleranceUnreachable, UnsupportedParameters
 from .quadrature import QuadResult, dfdx_quad, f_quad, integrand_dfdx, integrand_f, integrate
 from .series import (
@@ -56,9 +55,6 @@ __all__ = [
     "ToleranceUnreachable",
     "UnsupportedParameters",
     "Violation",
-    "cheb_t",
-    "cheb_t_trig",
-    "clenshaw_sum",
     "closed_form_parts",
     "consistency_scan",
     "default_grid",

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .analytic import f_at_one, f_at_one_error_bound, f_closed
+from .analytic import f_closed
 from .errors import DomainError, ToleranceUnreachable, UnsupportedParameters
 from .quadrature import dfdx_quad, f_quad
 from .series import AnglePoint, EvalPoint, EvalResult, Tolerance, f_series, fourier_series
@@ -24,6 +24,7 @@ from .verify import (
     DEFAULT_INSET,
     Report,
     ScanGrid,
+    _inequality_margin,
     consistency_scan,
     default_grid,
     dispatch_eval,
@@ -274,9 +275,7 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[float, float, float, flo
         for phi in grid.var_values():
             x = math.cos(phi)
             for r in grid.r_values():
-                res = dispatch_eval(EvalPoint(x, r), tol)
-                value = f_at_one(r) - res.value
-                bound = res.error_bound + f_at_one_error_bound(r)
+                value, bound, res = _inequality_margin(EvalPoint(x, r), tol, dispatch_eval)
                 rows.append((phi, r, value, bound, res.route))
         return rows
     grid = _grid_from_args(args, "consistency")

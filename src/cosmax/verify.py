@@ -3,7 +3,8 @@
 Four scanners, each returning a Report:
 
 - consistency_scan: every admissible route pair must agree within the sum
-  of the reported bounds plus a slack of max(1e-12, tol/2).  The slack
+  of its two reported bounds plus a slack of max(1e-12, tol/2), the same
+  slack for every pair at every grid point.  The slack
   scales with the requested tolerance because the quadrature error
   estimate is asymptotic: at coarse tolerances (panels too wide for the
   h^4 model) the true error can run a small factor past the report, and
@@ -16,8 +17,13 @@ Four scanners, each returning a Report:
   their closed form within r^{N+1}/(1-r), and the generating function at
   z = -r must equal 1 minus that closed form.
 
-Scans run sequentially in var-major then r order; min_margin ties break
-to first occurrence, so reports are deterministic for identical inputs.
+Every check goes through one accumulator (_Tally.check), which takes the
+check's allowance as part of its bound and never carries it from one
+check to the next.  A check is either observed <= bound, with margin
+bound - observed (consistency, identity), or observed > bound, with the
+raw observed value as margin (forward differences, inequality).  Scans
+run sequentially in var-major then r order; min_margin ties break to
+first occurrence, so reports are deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -186,6 +192,7 @@ def dispatch_eval(p: EvalPoint, tol: Tolerance = Tolerance()) -> EvalResult:
     closed form otherwise, quadrature as the fallback when the chosen
     route refuses the point or gives up on the tolerance."""
     try:
+        # not left to f_closed: its series call at tol 1e-15 misses the bound (no rounding term) more often
         if p.r < SERIES_DISPATCH_R:
             return f_series(p, tol)
         return f_closed(p)
@@ -202,6 +209,55 @@ def _require_kind(g: ScanGrid, kind: str, op: str) -> None:
         raise DomainError(f"{op} requires var_kind = {kind!r}, got {g.var_kind!r}")
 
 
+class _Tally:
+    """One scan's bookkeeping: points, violations, min_margin and the first
+    point where it occurred.  Every check of every scanner goes through
+    check(), with its allowance folded into the bound it is handed."""
+
+    def __init__(self, kind: str, g: ScanGrid) -> None:
+        self.kind = kind
+        self.t0 = time.perf_counter()
+        self.points = 0
+        self.violations: list[Violation] = []
+        self.min_margin = math.inf
+        self.worst = (g.var_min, g.r_min)
+
+    def check(
+        self, var: float, r: float, observed: float, bound: float,
+        above: bool = False, tracked: bool = True,
+    ) -> None:
+        """Record one check at (var, r).
+
+        By default the check is observed <= bound, with margin
+        bound - observed.  With above it is observed > bound, with the raw
+        observed value as margin.  An untracked check leaves min_margin alone.
+        """
+        if above:
+            margin, failed = observed, observed <= bound
+        else:
+            margin, failed = bound - observed, observed > bound
+        if tracked and margin < self.min_margin:
+            self.min_margin = margin
+            self.worst = (var, r)
+        if failed:
+            self.violations.append(Violation(var, r, observed, bound))
+
+    def report(self) -> Report:
+        return Report(
+            self.kind, self.points, tuple(self.violations), self.min_margin, self.worst,
+            time.perf_counter() - self.t0,
+        )
+
+
+def _inequality_margin(
+    p: EvalPoint, tol: Tolerance, eval_fn: Callable[[EvalPoint, Tolerance], EvalResult],
+) -> tuple[float, float, EvalResult]:
+    """f(1, r) - f(x, r) at p, the combined error bound of its two sides,
+    and the result eval_fn gave for f(x, r)."""
+    res = eval_fn(p, tol)
+    return f_at_one(p.r) - res.value, res.error_bound + f_at_one_error_bound(p.r), res
+
+
 def consistency_scan(
     g: ScanGrid,
     tol: Tolerance = Tolerance(1e-10),
@@ -213,21 +269,18 @@ def consistency_scan(
     """Compare every admissible route pair at each grid point.
 
     A pair violates if |v_i - v_j| > bound_i + bound_j + slack, where
-    slack = max(1e-12, tol/2) (see the module docstring).  The series
-    route is skipped where it refuses r (above 1 - 1e-9).  The eval
-    keyword hooks exist for mutation-sensitivity fixtures.
+    slack = max(1e-12, tol/2) (see the module docstring) is the same for
+    every pair.  The series route is skipped where it refuses r (above
+    1 - 1e-9).  The eval keyword hooks exist for mutation-sensitivity
+    fixtures.
     """
     _require_kind(g, "x_grid", "consistency_scan")
     slack = max(CONSISTENCY_SLACK, 0.5 * tol.effective())
-    t0 = time.perf_counter()
-    points = 0
-    violations: list[Violation] = []
-    min_margin = math.inf
-    worst = (g.var_min, g.r_min)
+    tally = _Tally("consistency", g)
     for x in g.var_values():
         for r in g.r_values():
             p = EvalPoint(x, r)
-            points += 1
+            tally.points += 1
             try:
                 results = []
                 if r <= SERIES_R_MAX:
@@ -238,18 +291,11 @@ def consistency_scan(
                 raise _located(err, x, r) from err
             for i in range(len(results)):
                 for j in range(i + 1, len(results)):
-                    diff = abs(results[i].value - results[j].value)
-                    bound = results[i].error_bound + results[j].error_bound + slack
-                    slack = bound - diff
-                    if slack < min_margin:
-                        min_margin = slack
-                        worst = (x, r)
-                    if diff > bound:
-                        violations.append(Violation(x, r, diff, bound))
-    return Report(
-        "consistency", points, tuple(violations), min_margin, worst,
-        time.perf_counter() - t0,
-    )
+                    tally.check(
+                        x, r, abs(results[i].value - results[j].value),
+                        results[i].error_bound + results[j].error_bound + slack,
+                    )
+    return tally.report()
 
 
 def monotonicity_scan(
@@ -269,39 +315,28 @@ def monotonicity_scan(
     _require_kind(g, "x_grid", "monotonicity_scan")
     if g.var_count < 3:
         raise DomainError(f"monotonicity_scan requires var_count >= 3, got {g.var_count}")
-    t0 = time.perf_counter()
+    tally = _Tally("monotonicity", g)
     xs = g.var_values()
     rs = g.r_values()
     try:
         values = [[eval_fn(EvalPoint(x, r), tol) for r in rs] for x in xs]
     except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
         raise type(err)(f"{err} [while tabulating the monotonicity grid]") from err
-    violations: list[Violation] = []
-    min_margin = math.inf
-    worst = (xs[0], rs[0])
     for i in range(len(xs) - 1):
         if xs[i + 1] - xs[i] < MIN_DIFF_SPACING:
             continue
         for j, r in enumerate(rs):
             lo, hi = values[i][j], values[i + 1][j]
-            diff = hi.value - lo.value
-            if diff < min_margin:
-                min_margin = diff
-                worst = (xs[i], r)
-            if diff <= lo.error_bound + hi.error_bound:
-                violations.append(Violation(xs[i], r, diff, lo.error_bound + hi.error_bound))
+            tally.check(xs[i], r, hi.value - lo.value, lo.error_bound + hi.error_bound, above=True)
     for x in xs:
         for r in rs:
+            tally.points += 1
             try:
                 d = dfdx_fn(EvalPoint(x, r), tol)
             except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
                 raise _located(err, x, r) from err
-            if d.value <= d.error_bound:
-                violations.append(Violation(x, r, d.value, d.error_bound))
-    return Report(
-        "monotonicity", len(xs) * len(rs), tuple(violations), min_margin, worst,
-        time.perf_counter() - t0,
-    )
+            tally.check(x, r, d.value, d.error_bound, above=True, tracked=False)
+    return tally.report()
 
 
 def inequality_scan(
@@ -317,31 +352,17 @@ def inequality_scan(
     the smallest raw margin; it is expected near the small-phi edge.
     """
     _require_kind(g, "phi_grid", "inequality_scan")
-    t0 = time.perf_counter()
-    points = 0
-    violations: list[Violation] = []
-    min_margin = math.inf
-    worst = (g.var_min, g.r_min)
+    tally = _Tally("inequality", g)
     for phi in g.var_values():
         x = math.cos(phi)
         for r in g.r_values():
-            points += 1
+            tally.points += 1
             try:
-                res = eval_fn(EvalPoint(x, r), tol)
-                top = f_at_one(r)
-                bound = res.error_bound + f_at_one_error_bound(r)
+                m, bound, _ = _inequality_margin(EvalPoint(x, r), tol, eval_fn)
             except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
                 raise _located(err, phi, r) from err
-            m = top - res.value
-            if m < min_margin:
-                min_margin = m
-                worst = (phi, r)
-            if m <= bound:
-                violations.append(Violation(phi, r, m, bound))
-    return Report(
-        "inequality", points, tuple(violations), min_margin, worst,
-        time.perf_counter() - t0,
-    )
+            tally.check(phi, r, m, bound, above=True)
+    return tally.report()
 
 
 def identity_scan(
@@ -357,37 +378,20 @@ def identity_scan(
     form, which is the constant-term rearrangement the series route rests
     on.  The x grid is [-0.9, 1] (15 points), r is [0.05, 0.95] (10).
     """
-    t0 = time.perf_counter()
     g = default_grid("identity")
+    tally = _Tally("identity", g)
     algebra_tol = max(tol.effective(), 1e-13)
-    points = 0
-    violations: list[Violation] = []
-    min_margin = math.inf
-    worst = (g.var_min, g.r_min)
     for x in g.var_values():
         for r in g.r_values():
             p = EvalPoint(x, r)
-            points += 1
+            tally.points += 1
             lhs = lhs_fn(p)
             for n in IDENTITY_PARTIAL_ORDERS:
-                residual = abs(lhs - generating_partial_sum(p, n))
-                bound = r ** (n + 1) / (1.0 - r) + 1e-12
-                slack = bound - residual
-                if slack < min_margin:
-                    min_margin = slack
-                    worst = (x, r)
-                if residual > bound:
-                    violations.append(Violation(x, r, residual, bound))
+                tally.check(
+                    x, r, abs(lhs - generating_partial_sum(p, n)),
+                    r ** (n + 1) / (1.0 - r) + 1e-12,
+                )
             z = -r
             gen = (1.0 - x * z) / (1.0 - 2.0 * x * z + z * z)
-            residual = abs(gen - (1.0 - lhs))
-            slack = algebra_tol - residual
-            if slack < min_margin:
-                min_margin = slack
-                worst = (x, r)
-            if residual > algebra_tol:
-                violations.append(Violation(x, r, residual, algebra_tol))
-    return Report(
-        "identity", points, tuple(violations), min_margin, worst,
-        time.perf_counter() - t0,
-    )
+            tally.check(x, r, abs(gen - (1.0 - lhs)), algebra_tol)
+    return tally.report()

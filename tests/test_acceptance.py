@@ -5,12 +5,15 @@ lines alongside the pytest verdicts.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
+import cosmax
 from cosmax.analytic import closed_form_parts, f_at_one, f_closed, margin
 from cosmax.quadrature import dfdx_quad, f_quad
 from cosmax.series import AnglePoint, EvalPoint, EvalResult, Tolerance, f_series
@@ -153,6 +156,21 @@ def test_criterion_7_mutation_sensitivity():
         assert not rep.passed
         assert len(rep.violations) >= 1
 
+        # a defect at the last grid point only: the check must not have
+        # loosened by the time the scan gets there
+        def off_at_last_point(p):
+            res = f_closed(p)
+            if (p.x, p.r) == (0.9, 0.9):
+                return EvalResult(res.value + 5e-8, res.error_bound, res.route, res.work)
+            return res
+
+        rep = consistency_scan(
+            ScanGrid("x_grid", 0.3, 0.9, 4, 0.3, 0.9, 3),
+            Tolerance(1e-8),
+            closed_eval=off_at_last_point,
+        )
+        assert [(v.var, v.r) for v in rep.violations] == [(0.9, 0.9)] * 2
+
         def flipped_value(p, tol):
             res = dispatch_eval(p, tol)
             return EvalResult(-res.value, res.error_bound, res.route, res.work)
@@ -165,14 +183,32 @@ def test_criterion_7_mutation_sensitivity():
         assert not rep.passed
         assert len(rep.violations) >= 1
 
+        def over_at_last_point(p, tol):
+            res = dispatch_eval(p, tol)
+            if p.r == 1.0 and p.x == math.cos(math.pi - 1e-3):
+                return EvalResult(f_at_one(p.r) + 1e-9, res.error_bound, res.route, res.work)
+            return res
+
+        rep = inequality_scan(
+            ScanGrid("phi_grid", 2.5, math.pi - 1e-3, 5, 0.9, 1.0, 3),
+            Tolerance(1e-10),
+            eval_fn=over_at_last_point,
+        )
+        assert [(v.var, v.r) for v in rep.violations] == [(math.pi - 1e-3, 1.0)]
+
 
 def test_criterion_8_cli_byte_determinism():
     with criterion(8, "repeated CLI runs emit byte-identical CSV/JSON"):
+        # the child must import the cosmax under test, installed or not
+        src = str(Path(cosmax.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
         def run(argv):
             proc = subprocess.run(
                 [sys.executable, "-m", "cosmax", *argv],
                 capture_output=True,
                 timeout=120,
+                env={**os.environ, "PYTHONPATH": path},
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +264,24 @@ def test_table_margin_anchor(capsys):
     assert rows[0]["value"] == pytest.approx(0.039720770839917964, abs=1e-12)
     assert rows[0]["value"] > rows[0]["error_bound"]
 
+    code, out, _ = run_main(
+        ["table", "--surface", "margin", "--var-count", "3", "--r-count", "3", "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    assert out == (
+        "var,r,value,error_bound,route\n"
+        "0.001,0.001,1.6608474627056e-10,8.8795630096938e-12,closed_form\n"
+        "0.001,0.5005,2.14926746816557e-08,1.60669389253372e-14,closed_form\n"
+        "0.001,1,1.12943626118245e-08,7.51908169022289e-15,closed_form\n"
+        "1.5707963267949,0.001,0.000332833533294532,4.44311328358878e-12,closed_form\n"
+        "1.5707963267949,0.5005,0.0681445289019036,1.12446685849441e-14,closed_form\n"
+        "1.5707963267949,1,0.039720770839918,6.74953597643561e-15,closed_form\n"
+        "3.14059265358979,0.001,0.0006666668997187,8.88400390290252e-12,closed_form\n"
+        "3.14059265358979,0.5005,0.3949933373146,2.08433255795465e-14,closed_form\n"
+        "3.14059265358979,1,5.60402977627031,2.35456738024062e-14,closed_form\n"
+    )
+
 
 def test_table_rejects_empty_grid(capsys):
     code, _, err = run_main(
@@ -276,10 +296,14 @@ def test_table_rejects_empty_grid(capsys):
 
 
 def module_run(argv):
+    # the child must import the cosmax under test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "cosmax", *argv],
         capture_output=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

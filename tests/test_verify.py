@@ -248,6 +248,34 @@ def test_consistency_scan_flags_sign_flipped_arctan():
     assert len(rep.violations) >= g.var_count * g.r_count
 
 
+def closed_offset(delta, at=None):
+    """f_closed shifted by delta at the point at = (x, r), or everywhere."""
+
+    def closed(p):
+        res = f_closed(p)
+        if at is None or (p.x, p.r) == at:
+            return EvalResult(res.value + delta, res.error_bound, res.route, res.work)
+        return res
+
+    return closed
+
+
+@pytest.mark.parametrize("delta, tol", [(1e-6, 1e-8), (1e-4, 1e-6)])
+def test_consistency_scan_flags_offset_at_last_point(delta, tol):
+    # the allowance must not grow as the grid is walked: an offset at the
+    # last point breaks exactly its two pairs with the closed form
+    g = ScanGrid("x_grid", -0.5, 0.5, 20, 0.2, 0.9, 20)
+    rep = consistency_scan(g, Tolerance(tol), closed_eval=closed_offset(delta, at=(0.5, 0.9)))
+    assert [(v.var, v.r) for v in rep.violations] == [(0.5, 0.9)] * 2
+
+
+def test_consistency_scan_uniform_offset_spares_series_quad_pair():
+    # nor may it shrink after a violation: two closed-form pairs per point fail
+    g = ScanGrid("x_grid", -0.5, 0.5, 10, 0.2, 0.9, 10)
+    rep = consistency_scan(g, Tolerance(1e-12), closed_eval=closed_offset(5e-11))
+    assert len(rep.violations) == 200
+
+
 def test_monotonicity_scan_flags_decreasing_surface():
     def negated(p, tol):
         res = dispatch_eval(p, tol)
