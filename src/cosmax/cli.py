@@ -1,9 +1,11 @@
 """Command-line front end: point evaluation, grid scans, table emission.
 
-Exit codes: 0 success/pass, 1 scan violations, 2 usage or domain errors,
-3 tolerance unreachable.  CSV/JSON output is byte-identical across runs
-for identical flags; numbers are rounded to the requested precision and
-printed in shortest round-trip form.
+Exit codes: 0 success/pass, 1 scan violations, 2 usage or domain errors
+(an unwritable --out included), 3 tolerance unreachable.  Every command
+writes through one renderer (_render) in csv, json or plain form.
+CSV/JSON output is byte-identical across runs for identical flags;
+numbers are rounded to the requested precision and printed in shortest
+round-trip form.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .analytic import f_closed
 from .errors import DomainError, ToleranceUnreachable, UnsupportedParameters
@@ -22,7 +23,6 @@ from .quadrature import dfdx_quad, f_quad
 from .series import AnglePoint, EvalPoint, EvalResult, Tolerance, f_series, fourier_series
 from .verify import (
     DEFAULT_INSET,
-    Report,
     ScanGrid,
     _inequality_margin,
     consistency_scan,
@@ -37,27 +37,6 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_TOLERANCE = 3
-
-TABLE_HEADER = "var,r,value,error_bound,route"
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    format: str = "plain"
-    path: str | None = None
-    precision: int = 15
-
-    def __post_init__(self) -> None:
-        if self.format not in ("csv", "json", "plain"):
-            raise DomainError(f"format must be csv, json, or plain, got {self.format!r}")
-        if not (isinstance(self.precision, int) and 1 <= self.precision <= 17):
-            raise DomainError(f"precision must be an integer in [1, 17], got {self.precision!r}")
-
-
-def _fmt(v: float, precision: int) -> str:
-    if isinstance(v, float) and not math.isfinite(v):
-        return str(v)
-    return format(v, f".{precision}g")
 
 
 def _rounded(obj, precision: int):
@@ -75,24 +54,44 @@ def _rounded(obj, precision: int):
     return obj
 
 
-def _write_out(text: str, out: OutputSpec) -> None:
-    if out.path is None:
+def _render(
+    args: argparse.Namespace, header: list[str], rows: list[tuple], *,
+    record: bool = False, payload=None, plain: list[str] | None = None,
+) -> None:
+    """Write rows under header in args.format to args.out, or to stdout.
+
+    A record (one row) is a JSON object and key = value lines; other rows
+    are a JSON list of objects and a header line over space-separated
+    lines.  payload replaces the JSON built from the rows, plain the plain
+    lines.  Floats are written to args.precision significant digits; each
+    column takes one format spec, chosen from the first row.
+    """
+    pr = args.precision
+    if args.format == "json":
+        if payload is None:
+            payload = [dict(zip(header, row)) for row in rows]
+            payload = payload[0] if record else payload
+        text = json.dumps(_rounded(payload, pr)) + "\n"
+    else:
+        specs = [f".{pr}g" if isinstance(v, float) else "" for v in rows[0]]
+        cols = [[format(v, spec) for v in col] for col, spec in zip(zip(*rows), specs)]
+        cells = zip(*cols)
+        if args.format == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(cells)
+            text = buf.getvalue()
+        else:
+            if plain is None:
+                plain = ([f"{k} = {v}" for k, v in zip(header, next(cells))] if record
+                         else [" ".join(header), *map(" ".join, cells)])
+            text = "\n".join(plain) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out.path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _output_spec(args: argparse.Namespace) -> OutputSpec:
-    return OutputSpec(args.format, args.out, args.precision)
 
 
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
@@ -190,68 +189,13 @@ def _run_route(p: EvalPoint, route: str, tol: Tolerance) -> EvalResult:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    out = _output_spec(args)
     res = _eval_result(args)
-    pr = out.precision
-    if out.format == "csv":
-        text = _csv_text(
-            ["value", "error_bound", "route", "work"],
-            [[_fmt(res.value, pr), _fmt(res.error_bound, pr), res.route, str(res.work)]],
-        )
-    elif out.format == "json":
-        payload = _rounded(
-            {"value": res.value, "error_bound": res.error_bound,
-             "route": res.route, "work": res.work},
-            pr,
-        )
-        text = json.dumps(payload) + "\n"
-    else:
-        text = (
-            f"value = {_fmt(res.value, pr)}\n"
-            f"error_bound = {_fmt(res.error_bound, pr)}\n"
-            f"route = {res.route}\n"
-            f"work = {res.work}\n"
-        )
-    _write_out(text, out)
+    _render(args, ["value", "error_bound", "route", "work"],
+            [(res.value, res.error_bound, res.route, res.work)], record=True)
     return EXIT_OK
 
 
-def _report_text(report: Report, out: OutputSpec) -> str:
-    pr = out.precision
-    if out.format == "csv":
-        header = ["kind", "points_checked", "violations", "min_margin",
-                  "worst_var", "worst_r", "pass"]
-        row = [
-            report.kind,
-            str(report.points_checked),
-            str(len(report.violations)),
-            _fmt(report.min_margin, pr),
-            _fmt(report.worst_point[0], pr),
-            _fmt(report.worst_point[1], pr),
-            "true" if report.passed else "false",
-        ]
-        return _csv_text(header, [row])
-    if out.format == "json":
-        return json.dumps(_rounded(report.as_dict(), pr)) + "\n"
-    lines = [
-        f"kind = {report.kind}",
-        f"points_checked = {report.points_checked}",
-        f"violations = {len(report.violations)}",
-        f"min_margin = {_fmt(report.min_margin, pr)}",
-        f"worst_point = ({_fmt(report.worst_point[0], pr)}, {_fmt(report.worst_point[1], pr)})",
-        f"pass = {'true' if report.passed else 'false'}",
-        f"elapsed_s = {report.elapsed:.3f}",
-    ]
-    for v in report.violations:
-        lines.append(
-            f"violation: var = {_fmt(v.var, pr)}, r = {_fmt(v.r, pr)}, "
-            f"observed = {_fmt(v.observed, pr)}, bound = {_fmt(v.bound, pr)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
-    out = _output_spec(args)
     tol = Tolerance(args.tol)
     if args.kind == "identity":
         report = identity_scan(tol)
@@ -263,7 +207,30 @@ def cmd_scan(args: argparse.Namespace) -> int:
             "inequality": inequality_scan,
         }[args.kind]
         report = runner(grid, tol)
-    _write_out(_report_text(report, out), out)
+    g = f".{args.precision}g"
+    var, r = report.worst_point
+    passed = "true" if report.passed else "false"
+    plain = [
+        f"kind = {report.kind}",
+        f"points_checked = {report.points_checked}",
+        f"violations = {len(report.violations)}",
+        f"min_margin = {report.min_margin:{g}}",
+        f"worst_point = ({var:{g}}, {r:{g}})",
+        f"pass = {passed}",
+        f"elapsed_s = {report.elapsed:.3f}",
+    ]
+    plain += [
+        f"violation: var = {v.var:{g}}, r = {v.r:{g}}, "
+        f"observed = {v.observed:{g}}, bound = {v.bound:{g}}"
+        for v in report.violations
+    ]
+    _render(
+        args,
+        ["kind", "points_checked", "violations", "min_margin", "worst_var", "worst_r", "pass"],
+        [(report.kind, report.points_checked, len(report.violations), report.min_margin,
+          var, r, passed)],
+        payload=report.as_dict(), plain=plain,
+    )
     return EXIT_OK if report.passed else EXIT_VIOLATIONS
 
 
@@ -289,29 +256,7 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[float, float, float, flo
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    out = _output_spec(args)
-    rows = _table_rows(args)
-    pr = out.precision
-    if out.format == "csv":
-        text = _csv_text(
-            TABLE_HEADER.split(","),
-            [[_fmt(var, pr), _fmt(r, pr), _fmt(val, pr), _fmt(bound, pr), route]
-             for var, r, val, bound, route in rows],
-        )
-    elif out.format == "json":
-        payload = [
-            _rounded({"var": var, "r": r, "value": val, "error_bound": bound, "route": route}, pr)
-            for var, r, val, bound, route in rows
-        ]
-        text = json.dumps(payload) + "\n"
-    else:
-        lines = [TABLE_HEADER.replace(",", " ")]
-        lines += [
-            f"{_fmt(var, pr)} {_fmt(r, pr)} {_fmt(val, pr)} {_fmt(bound, pr)} {route}"
-            for var, r, val, bound, route in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_out(text, out)
+    _render(args, ["var", "r", "value", "error_bound", "route"], _table_rows(args))
     return EXIT_OK
 
 
@@ -319,12 +264,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.precision <= 17:
+            raise DomainError(f"precision must be an integer in [1, 17], got {args.precision!r}")
         if args.command == "eval":
             return cmd_eval(args)
         if args.command == "scan":
             return cmd_scan(args)
         return cmd_table(args)
-    except (DomainError, UnsupportedParameters) as err:
+    except (DomainError, UnsupportedParameters, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ToleranceUnreachable as err:

@@ -9,8 +9,9 @@ Four scanners, each returning a Report:
   estimate is asymptotic: at coarse tolerances (panels too wide for the
   h^4 model) the true error can run a small factor past the report, and
   tol/2 absorbs that without loosening the tight-tolerance regime.
-- monotonicity_scan: forward differences of f in x must be positive, and
-  the derivative route must be positive at every grid point.
+- monotonicity_scan: forward differences of f in x, between points at
+  least MIN_DIFF_SPACING apart, must be positive, and the derivative
+  route must be positive at every grid point.
 - inequality_scan: f(1, r) - f(cos phi, r) must exceed the combined
   evaluation error bounds, so a pass is meaningful in floating point.
 - identity_scan: partial sums of sum (-1)^{k+1} T_k(x) r^k must approach
@@ -307,10 +308,12 @@ def monotonicity_scan(
 ) -> Report:
     """Check that f increases in x.
 
-    For each r, forward differences across consecutive x at least 1e-2
-    apart must exceed the two evaluation bounds combined; the derivative
-    route must be positive beyond its own bound at every grid point.
-    min_margin is the smallest forward difference found.
+    For each r, each x is paired with the first grid x at least
+    MIN_DIFF_SPACING (1e-2) further on, so fine grids keep their checks;
+    the forward difference of each pair must exceed the two evaluation
+    bounds combined.  The derivative route must be positive beyond its own
+    bound at every grid point.  min_margin is the smallest forward
+    difference found, inf when the x range is shorter than the spacing.
     """
     _require_kind(g, "x_grid", "monotonicity_scan")
     if g.var_count < 3:
@@ -322,12 +325,15 @@ def monotonicity_scan(
         values = [[eval_fn(EvalPoint(x, r), tol) for r in rs] for x in xs]
     except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
         raise type(err)(f"{err} [while tabulating the monotonicity grid]") from err
-    for i in range(len(xs) - 1):
-        if xs[i + 1] - xs[i] < MIN_DIFF_SPACING:
-            continue
+    k = 0
+    for i, x in enumerate(xs):
+        while k < len(xs) and xs[k] - x < MIN_DIFF_SPACING:
+            k += 1
+        if k == len(xs):
+            break
         for j, r in enumerate(rs):
-            lo, hi = values[i][j], values[i + 1][j]
-            tally.check(xs[i], r, hi.value - lo.value, lo.error_bound + hi.error_bound, above=True)
+            lo, hi = values[i][j], values[k][j]
+            tally.check(x, r, hi.value - lo.value, lo.error_bound + hi.error_bound, above=True)
     for x in xs:
         for r in rs:
             tally.points += 1

@@ -126,10 +126,21 @@ def test_eval_json_payload(capsys):
     assert isinstance(payload["work"], int)
 
 
+def test_eval_plain_and_csv_are_frozen_at_precision_3(capsys):
+    argv = ["eval", "--x", "0.3", "--r", "0.7", "--precision", "3"]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    assert out == "value = 0.119\nerror_bound = 2.67e-15\nroute = closed_form\nwork = 0\n"
+    code, out, _ = run_main([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    assert out == "value,error_bound,route,work\n0.119,2.67e-15,closed_form,0\n"
+
+
 def test_eval_precision_validation(capsys):
-    code, _, err = run_main(["eval", "--x", "0.5", "--r", "0.5", "--precision", "0"], capsys)
+    code, out, err = run_main(["eval", "--x", "0.5", "--r", "0.5", "--precision", "0"], capsys)
     assert code == 2
-    assert "precision" in err
+    assert out == ""
+    assert err == "error: precision must be an integer in [1, 17], got 0\n"
     code, _, err = run_main(["eval", "--x", "0.5", "--r", "0.5", "--precision", "18"], capsys)
     assert code == 2
 
@@ -143,6 +154,19 @@ def test_eval_out_file(tmp_path, capsys):
     assert out == ""
     text = target.read_text(encoding="utf-8")
     assert text.startswith("value,error_bound,route,work\n")
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "f.csv"
+    code, out, err = run_main(["eval", "--x", "0.5", "--r", "0.5", "--out", str(missing)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert not missing.exists()
+    code, out, err = run_main(["scan", "--kind", "identity", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +216,42 @@ def test_scan_violations_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "identity_scan", failing_scan)
     code, out, _ = run_main(["scan", "--kind", "identity"], capsys)
     assert code == 1
-    assert "pass = false" in out
-    assert "violation: var = 0.1, r = 0.2, observed = 5, bound = 1" in out
+    assert out == (
+        "kind = identity\npoints_checked = 4\nviolations = 1\nmin_margin = -4\n"
+        "worst_point = (0.1, 0.2)\npass = false\nelapsed_s = 0.000\n"
+        "violation: var = 0.1, r = 0.2, observed = 5, bound = 1\n"
+    )
+    code, out, _ = run_main(["scan", "--kind", "identity", "--format", "csv"], capsys)
+    assert code == 1
+    assert out == (
+        "kind,points_checked,violations,min_margin,worst_var,worst_r,pass\n"
+        "identity,4,1,-4,0.1,0.2,false\n"
+    )
+    code, out, _ = run_main(["scan", "--kind", "identity", "--format", "json"], capsys)
+    assert code == 1
+    assert out == (
+        '{"kind": "identity", "points_checked": 4, "violations": [{"point": [0.1, 0.2], '
+        '"observed": 5.0, "bound": 1.0}], "min_margin": -4.0, "worst_point": [0.1, 0.2], '
+        '"pass": false}\n'
+    )
+
+
+def test_scan_infinite_min_margin_bytes(capsys):
+    # x spans less than the forward-difference spacing, so no difference is taken
+    argv = ["scan", "--kind", "monotonicity", "--var-min", "0.5", "--var-max", "0.505",
+            "--var-count", "3"]
+    code, out, _ = run_main([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    assert out == (
+        "kind,points_checked,violations,min_margin,worst_var,worst_r,pass\n"
+        "monotonicity,30,0,inf,0.5,0.05,true\n"
+    )
+    code, out, _ = run_main([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert out == (
+        '{"kind": "monotonicity", "points_checked": 30, "violations": [], '
+        '"min_margin": null, "worst_point": [0.5, 0.05], "pass": true}\n'
+    )
 
 
 def test_scan_grid_flag_validation(capsys):
@@ -232,6 +290,31 @@ def test_table_f_csv_anchors(capsys):
     assert lines[2].startswith("0.5,1,0.178796768891527,")
     assert lines[3].startswith("1,1,0.193147180559945,")
     assert len(lines) == 4
+
+
+def test_table_f_plain_and_json_are_frozen(capsys):
+    argv = ["table", "--surface", "f", "--var-count", "2", "--r-count", "2"]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    assert out == (
+        "var r value error_bound route\n"
+        "-0.999 0.01 -0.00335509990652257 4.45873016507795e-13 closed_form\n"
+        "-0.999 1 -1.73420408567836 1.05076038662907e-14 closed_form\n"
+        "1 0.01 0.00330853168083136 4.41876110216912e-13 closed_form\n"
+        "1 1 0.193147180559945 2.64931894324848e-15 closed_form\n"
+    )
+    code, out, _ = run_main([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert out == (
+        '[{"var": -0.999, "r": 0.01, "value": -0.00335509990652257, '
+        '"error_bound": 4.45873016507795e-13, "route": "closed_form"}, '
+        '{"var": -0.999, "r": 1.0, "value": -1.73420408567836, '
+        '"error_bound": 1.05076038662907e-14, "route": "closed_form"}, '
+        '{"var": 1.0, "r": 0.01, "value": 0.00330853168083136, '
+        '"error_bound": 4.41876110216912e-13, "route": "closed_form"}, '
+        '{"var": 1.0, "r": 1.0, "value": 0.193147180559945, '
+        '"error_bound": 2.64931894324848e-15, "route": "closed_form"}]\n'
+    )
 
 
 def test_table_dfdx_rows_positive(capsys):

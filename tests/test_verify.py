@@ -276,14 +276,30 @@ def test_consistency_scan_uniform_offset_spares_series_quad_pair():
     assert len(rep.violations) == 200
 
 
-def test_monotonicity_scan_flags_decreasing_surface():
-    def negated(p, tol):
-        res = dispatch_eval(p, tol)
-        return EvalResult(-res.value, res.error_bound, res.route, res.work)
+def negated(p, tol):
+    res = dispatch_eval(p, tol)
+    return EvalResult(-res.value, res.error_bound, res.route, res.work)
 
+
+def test_monotonicity_scan_flags_decreasing_surface():
     rep = monotonicity_scan(small_x_grid(r_count=3), Tolerance(1e-10), eval_fn=negated)
     assert not rep.passed
     assert rep.min_margin < 0.0
+
+
+def test_monotonicity_scan_flags_decreasing_surface_on_fine_grid():
+    # x steps of 1/119 are below MIN_DIFF_SPACING: each x is paired with the
+    # x two steps on, so all but the last two x of each r are checked
+    g = ScanGrid("x_grid", -0.5, 0.5, 120, 0.2, 0.9, 3)
+    rep = monotonicity_scan(g, Tolerance(1e-10), eval_fn=negated)
+    assert len(rep.violations) == 118 * 3
+    assert rep.min_margin < 0.0
+
+
+def test_monotonicity_scan_fine_grid_keeps_forward_differences():
+    rep = monotonicity_scan(ScanGrid("x_grid", -0.99, 1.0, 300, 0.05, 1.0, 10), Tolerance(1e-10))
+    assert rep.passed
+    assert rep.min_margin == pytest.approx(1.9153528100154804e-4, rel=1e-9)
 
 
 def test_inequality_scan_flags_surface_above_f_at_one():
