@@ -15,9 +15,8 @@ Two views:
 
 import argparse
 
-from cosmax.analytic import margin
-from cosmax.series import AnglePoint, Tolerance
-from cosmax.verify import default_grid, inequality_scan
+from cosmax.series import Tolerance
+from cosmax.verify import ScanGrid, default_grid, dispatch_eval, inequality_scan, margins
 
 
 def main(argv=None):
@@ -43,7 +42,9 @@ def main(argv=None):
     print("margin(phi, 1) vs phi  (margin / phi^2 -> constant)")
     print(f"{'phi':>8} {'margin':>14} {'margin/phi^2':>14}")
     for phi in (1e-1, 1e-2, 1e-3, 1e-4):
-        m = margin(AnglePoint(phi, 1.0))
+        # a one-point grid; its inset is phi, so the grid admits it
+        [(_, _, m, _, _)] = margins(ScanGrid("phi_grid", phi, phi, 1, 1.0, 1.0, 1, phi),
+                                    tol, dispatch_eval)
         ok = ok and m > 0.0
         print(f"{phi:8.0e} {m:14.6e} {m / (phi * phi):14.6f}")
     return 0 if ok else 1

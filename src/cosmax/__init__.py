@@ -8,14 +8,7 @@ monotonicity in x and of the inequality f(1, r) > f(cos phi, r) for
 phi in (0, pi), is the package's correctness evidence.
 """
 
-from .analytic import (
-    ClosedFormParts,
-    closed_form_parts,
-    f_at_one,
-    f_at_one_error_bound,
-    f_closed,
-    margin,
-)
+from .analytic import f_at_one, f_at_one_error_bound, f_closed
 from .errors import DomainError, ToleranceUnreachable, UnsupportedParameters
 from .quadrature import QuadResult, dfdx_quad, f_quad, integrand_dfdx, integrand_f, integrate
 from .series import (
@@ -37,6 +30,7 @@ from .verify import (
     dispatch_eval,
     identity_scan,
     inequality_scan,
+    margins,
     monotonicity_scan,
 )
 
@@ -44,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnglePoint",
-    "ClosedFormParts",
     "DomainError",
     "EvalPoint",
     "EvalResult",
@@ -55,7 +48,6 @@ __all__ = [
     "ToleranceUnreachable",
     "UnsupportedParameters",
     "Violation",
-    "closed_form_parts",
     "consistency_scan",
     "default_grid",
     "dfdx_quad",
@@ -73,7 +65,7 @@ __all__ = [
     "integrand_dfdx",
     "integrand_f",
     "integrate",
-    "margin",
+    "margins",
     "monotonicity_scan",
     "__version__",
 ]

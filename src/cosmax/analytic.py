@@ -7,39 +7,23 @@ Integrating the representation of f termwise gives
 
 and at x = 1 this collapses to f(1, r) = (log(1+r) - r + r^2/2) / r^2.
 The bracket shrinks to O(r^3) while its pieces stay O(r), so small r is
-catastrophically cancellative; both entry points switch representation
-below r = 1e-3.  All log(1 + u) shapes go through math.log1p, which keeps
-the absolute error near 1e-12 at r ~ 1e-3 where the naive form would lose
-~1e-10 (enough to swamp the smallest scan margins).
+catastrophically cancellative: below r = 1e-3, f_at_one sums a short
+alternating series and f_closed delegates to the series route (the
+margin f(1, r) - f(x, r) is cosmax.verify.margins).  All log(1 + u)
+shapes go through math.log1p, which keeps the absolute error near 1e-12
+at r ~ 1e-3 where the naive form would lose ~1e-10 (enough to swamp the
+smallest scan margins).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .series import TOL_MIN, AnglePoint, EvalPoint, EvalResult, Tolerance, f_series
+from .series import TOL_MIN, EvalPoint, EvalResult, Tolerance, f_series
 
 SMALL_R = 1e-3
 _EPS = 2.220446049250313e-16  # 2**-52
-
-
-@dataclass(frozen=True)
-class ClosedFormParts:
-    """The three bracket pieces of the closed form, before the 1/r^2 scaling."""
-
-    poly_part: float  # r^2/2 - xr
-    log_part: float   # (x^2 - 1/2) * log(r^2 + 2xr + 1)
-    atan_part: float  # 2xw * arctan(wr / (1 + xr))
-    w: float          # sqrt(1 - x^2)
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.w <= 1.0):
-            raise DomainError(f"w must lie in [0, 1], got {self.w!r}")
-        for name in ("poly_part", "log_part", "atan_part"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 def _check_r(r: float) -> None:
@@ -69,26 +53,22 @@ def f_at_one_error_bound(r: float) -> float:
     return 10.0 * _EPS * (math.log1p(r) + r + 0.5 * r * r) / (r * r)
 
 
-def closed_form_parts(p: EvalPoint) -> ClosedFormParts:
-    """Compute the bracket pieces at (x, r).
+def _closed(x: float, r: float) -> tuple[float, float]:
+    """The closed form at (x, r) and its heuristic rounding budget.
 
     w uses sqrt(max(0, 1-x^2)) to absorb negative rounding residue near
     |x| = 1; the log argument is handled as log1p(r(r+2x)), exact in the
-    r^2 + 2xr + 1 > 0 domain.
+    r^2 + 2xr + 1 > 0 domain.  The budget is flagged non-rigorous: the
+    scale of the bracket pieces over r^2 measures the cancellation
+    amplification.
     """
-    x, r = p.x, p.r
     w = math.sqrt(max(0.0, 1.0 - x * x))
     poly = 0.5 * r * r - x * r
     log_part = (x * x - 0.5) * math.log1p(r * (r + 2.0 * x))
     atan_part = 2.0 * x * w * math.atan2(w * r, 1.0 + x * r)
-    return ClosedFormParts(poly, log_part, atan_part, w)
-
-
-def _closed_bound(parts: ClosedFormParts, r: float) -> float:
-    # heuristic floating-point budget, flagged non-rigorous; scale of the
-    # bracket pieces over r^2 measures the cancellation amplification
-    scale = abs(parts.poly_part) + abs(parts.log_part) + abs(parts.atan_part)
-    return 10.0 * _EPS * scale / (r * r)
+    r2 = r * r
+    scale = abs(poly) + abs(log_part) + abs(atan_part)
+    return (poly + log_part + atan_part) / r2, 10.0 * _EPS * scale / r2
 
 
 def f_closed(p: EvalPoint) -> EvalResult:
@@ -100,24 +80,8 @@ def f_closed(p: EvalPoint) -> EvalResult:
     scale; rigorous bounds come from the series and quadrature routes.
     """
     if p.x == 1.0:
-        parts = closed_form_parts(p)
-        return EvalResult(f_at_one(p.r), _closed_bound(parts, p.r), "closed_form", 0)
+        return EvalResult(f_at_one(p.r), _closed(1.0, p.r)[1], "closed_form", 0)
     if p.r < SMALL_R:
         return f_series(p, Tolerance(TOL_MIN))
-    parts = closed_form_parts(p)
-    r2 = p.r * p.r
-    value = (parts.poly_part + parts.log_part + parts.atan_part) / r2
-    return EvalResult(value, _closed_bound(parts, p.r), "closed_form", 0)
-
-
-def margin(a: AnglePoint) -> float:
-    """f(1, r) - f(cos phi, r), asserted strictly positive for phi in (0, pi)."""
-    if a.phi <= 0.0:
-        raise DomainError(f"margin requires phi in (0, pi), got {a.phi!r}")
-    x = math.cos(a.phi)
-    if x <= -1.0:
-        # phi within ~1e-8 of pi rounds cos(phi) onto the excluded corner
-        raise DomainError(
-            f"cos(phi) rounds to -1 for phi = {a.phi!r}; x must lie in (-1, 1]"
-        )
-    return f_at_one(a.r) - f_closed(EvalPoint(x, a.r)).value
+    value, bound = _closed(p.x, p.r)
+    return EvalResult(value, bound, "closed_form", 0)

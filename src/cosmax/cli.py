@@ -24,12 +24,12 @@ from .series import AnglePoint, EvalPoint, EvalResult, Tolerance, f_series, four
 from .verify import (
     DEFAULT_INSET,
     ScanGrid,
-    _inequality_margin,
     consistency_scan,
     default_grid,
     dispatch_eval,
     identity_scan,
     inequality_scan,
+    margins,
     monotonicity_scan,
 )
 
@@ -238,13 +238,8 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[float, float, float, flo
     tol = Tolerance(args.tol)
     if args.surface == "margin":
         grid = _grid_from_args(args, "inequality")
-        rows = []
-        for phi in grid.var_values():
-            x = math.cos(phi)
-            for r in grid.r_values():
-                value, bound, res = _inequality_margin(EvalPoint(x, r), tol, dispatch_eval)
-                rows.append((phi, r, value, bound, res.route))
-        return rows
+        return [(phi, r, m, bound, res.route)
+                for phi, r, m, bound, res in margins(grid, tol, dispatch_eval)]
     grid = _grid_from_args(args, "consistency")
     evaluate = dispatch_eval if args.surface == "f" else dfdx_quad
     rows = []

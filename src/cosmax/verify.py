@@ -14,6 +14,8 @@ Four scanners, each returning a Report:
   route must be positive at every grid point.
 - inequality_scan: f(1, r) - f(cos phi, r) must exceed the combined
   evaluation error bounds, so a pass is meaningful in floating point.
+  The margins come from margins(), the one walk of the phi grid, which
+  the CLI's margin table and scripts/margin_profile.py use too.
 - identity_scan: partial sums of sum (-1)^{k+1} T_k(x) r^k must approach
   their closed form within r^{N+1}/(1-r), and the generating function at
   z = -r must equal 1 minus that closed form.
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .analytic import f_at_one, f_at_one_error_bound, f_closed
 from .errors import DomainError, ToleranceUnreachable, UnsupportedParameters
@@ -250,13 +252,26 @@ class _Tally:
         )
 
 
-def _inequality_margin(
-    p: EvalPoint, tol: Tolerance, eval_fn: Callable[[EvalPoint, Tolerance], EvalResult],
-) -> tuple[float, float, EvalResult]:
-    """f(1, r) - f(x, r) at p, the combined error bound of its two sides,
-    and the result eval_fn gave for f(x, r)."""
-    res = eval_fn(p, tol)
-    return f_at_one(p.r) - res.value, res.error_bound + f_at_one_error_bound(p.r), res
+def margins(
+    g: ScanGrid, tol: Tolerance, eval_fn: Callable[[EvalPoint, Tolerance], EvalResult],
+) -> Iterator[tuple[float, float, float, float, EvalResult]]:
+    """Walk a phi grid phi-major and yield (phi, r, margin, bound, result).
+
+    margin is f(1, r) - f(cos phi, r), bound the combined error bound of
+    its two sides, and result what eval_fn gave for f(cos phi, r).  f(1, r)
+    and its bound are computed once per r column.  A route or domain error
+    is re-raised with the grid point it occurred at.
+    """
+    _require_kind(g, "phi_grid", "margins")
+    column = [(r, f_at_one(r), f_at_one_error_bound(r)) for r in g.r_values()]
+    for phi in g.var_values():
+        x = math.cos(phi)
+        for r, f1, b1 in column:
+            try:
+                res = eval_fn(EvalPoint(x, r), tol)
+            except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
+                raise _located(err, phi, r) from err
+            yield phi, r, f1 - res.value, res.error_bound + b1, res
 
 
 def consistency_scan(
@@ -357,17 +372,10 @@ def inequality_scan(
     two sides, so a pass is meaningful in floating point.  min_margin is
     the smallest raw margin; it is expected near the small-phi edge.
     """
-    _require_kind(g, "phi_grid", "inequality_scan")
     tally = _Tally("inequality", g)
-    for phi in g.var_values():
-        x = math.cos(phi)
-        for r in g.r_values():
-            tally.points += 1
-            try:
-                m, bound, _ = _inequality_margin(EvalPoint(x, r), tol, eval_fn)
-            except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
-                raise _located(err, phi, r) from err
-            tally.check(phi, r, m, bound, above=True)
+    for phi, r, m, bound, _ in margins(g, tol, eval_fn):
+        tally.points += 1
+        tally.check(phi, r, m, bound, above=True)
     return tally.report()
 
 

@@ -14,9 +14,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import cosmax
-from cosmax.analytic import closed_form_parts, f_at_one, f_closed, margin
+from cosmax.analytic import f_at_one, f_closed
 from cosmax.quadrature import dfdx_quad, f_quad
-from cosmax.series import AnglePoint, EvalPoint, EvalResult, Tolerance, f_series
+from cosmax.series import EvalPoint, EvalResult, Tolerance, f_series
 from cosmax.verify import (
     IDENTITY_PARTIAL_ORDERS,
     ScanGrid,
@@ -25,6 +25,7 @@ from cosmax.verify import (
     dispatch_eval,
     identity_scan,
     inequality_scan,
+    margins,
     monotonicity_scan,
 )
 
@@ -48,7 +49,8 @@ def test_criterion_1_anchor_values():
         f01 = f_closed(EvalPoint(0.0, 1.0)).value
         assert abs(f01 - 0.153426409720027) <= 1e-12
         assert abs(f01 - (0.5 - 0.5 * math.log(2.0))) <= 1e-15
-        m = margin(AnglePoint(math.pi / 2.0, 1.0))
+        right_angle = ScanGrid("phi_grid", math.pi / 2.0, math.pi / 2.0, 1, 1.0, 1.0, 1)
+        [(_, _, m, _, _)] = margins(right_angle, Tolerance(1e-12), dispatch_eval)
         assert abs(m - 0.039720770839918) <= 1e-12
         assert abs(m - (1.5 * math.log(2.0) - 1.0)) <= 1e-13
         # the same anchors through quadrature (the series route refuses
@@ -144,9 +146,11 @@ def test_criterion_6_generating_identity():
 def test_criterion_7_mutation_sensitivity():
     with criterion(7, "sign-flip fixtures are caught by both scanners"):
         def flipped_arctan(p):
-            parts = closed_form_parts(p)
-            value = (parts.poly_part + parts.log_part - parts.atan_part) / (p.r * p.r)
-            return EvalResult(value, f_closed(p).error_bound, "closed_form", 0)
+            # the arctan piece 2xw atan2(wr, 1 + xr) / r^2 with its sign flipped
+            res = f_closed(p)
+            w = math.sqrt(max(0.0, 1.0 - p.x * p.x))
+            atan_piece = 2.0 * p.x * w * math.atan2(w * p.r, 1.0 + p.x * p.r) / (p.r * p.r)
+            return EvalResult(res.value - 2.0 * atan_piece, res.error_bound, "closed_form", 0)
 
         rep = consistency_scan(
             ScanGrid("x_grid", 0.3, 0.9, 4, 0.3, 0.9, 3),

@@ -4,18 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosmax.analytic import (
-    SMALL_R,
-    ClosedFormParts,
-    closed_form_parts,
-    f_at_one,
-    f_at_one_error_bound,
-    f_closed,
-    margin,
-)
+from cosmax.analytic import SMALL_R, f_at_one, f_at_one_error_bound, f_closed
 from cosmax.errors import DomainError
 from cosmax.quadrature import f_quad
-from cosmax.series import AnglePoint, EvalPoint, Tolerance, f_series
+from cosmax.series import EvalPoint, Tolerance, f_series
+from cosmax.verify import ScanGrid, dispatch_eval, margins
 
 F_AT_ONE_HALF = 0.12186043243265753
 F_AT_ONE_ONE = 0.19314718055994531  # log 2 - 1/2
@@ -68,21 +61,6 @@ def test_f_at_one_monotone_in_r():
 
 # ---------------------------------------------------------------------------
 # closed form across the (x, r) rectangle
-
-
-def test_closed_form_parts_anchor():
-    p = closed_form_parts(EvalPoint(0.0, 1.0))
-    assert p.w == 1.0
-    assert p.poly_part == pytest.approx(0.5, abs=1e-16)
-    assert p.log_part == pytest.approx(-0.5 * math.log(2.0), abs=1e-15)
-    assert p.atan_part == 0.0
-
-
-def test_closed_form_parts_validation():
-    with pytest.raises(DomainError):
-        ClosedFormParts(0.0, 0.0, 0.0, 1.5)
-    with pytest.raises(DomainError):
-        ClosedFormParts(math.inf, 0.0, 0.0, 0.5)
 
 
 def test_f_closed_x_zero_reduction():
@@ -141,14 +119,23 @@ def test_f_closed_matches_series_property(x, r):
 # the inequality margin
 
 
+def one_point(phi, r, inset=1e-12):
+    return ScanGrid("phi_grid", phi, phi, 1, r, r, 1, inset)
+
+
+def margin(phi, r):
+    """f(1, r) - f(cos phi, r) from margins on the one-point grid (phi, r)."""
+    [(_, _, m, _, _)] = margins(one_point(phi, r), Tolerance(1e-12), dispatch_eval)
+    return m
+
+
 def test_margin_anchor_at_right_angle():
-    m = margin(AnglePoint(math.pi / 2.0, 1.0))
+    m = margin(math.pi / 2.0, 1.0)
     assert m == pytest.approx(F_AT_ONE_ONE - F_ZERO_ONE, abs=1e-13)
 
 
 def test_margin_agrees_with_series_difference():
-    a = AnglePoint(2.0, 0.8)
-    m = margin(a)
+    m = margin(2.0, 0.8)
     assert m > 0.0
     s = f_series(EvalPoint(math.cos(2.0), 0.8), Tolerance(1e-13))
     ref = f_at_one(0.8) - s.value
@@ -159,23 +146,37 @@ def test_margin_positive_on_grid():
     for i in range(25):
         phi = 0.05 + (math.pi - 0.1) * i / 24.0
         for r in (0.1, 0.5, 1.0):
-            assert margin(AnglePoint(phi, r)) > 0.0, (phi, r)
+            assert margin(phi, r) > 0.0, (phi, r)
+
+
+def test_margins_walk_phi_major_and_add_both_bounds():
+    g = ScanGrid("phi_grid", 0.05, math.pi - 0.05, 5, 0.1, 1.0, 3)
+    rows = list(margins(g, Tolerance(1e-12), dispatch_eval))
+    assert [(phi, r) for phi, r, *_ in rows] == [
+        (phi, r) for phi in g.var_values() for r in g.r_values()
+    ]
+    for phi, r, m, bound, res in rows:
+        assert res == dispatch_eval(EvalPoint(math.cos(phi), r), Tolerance(1e-12))
+        assert m == f_at_one(r) - res.value
+        assert bound == res.error_bound + f_at_one_error_bound(r)
 
 
 def test_margin_quadratic_in_phi_near_zero():
     # f(1, r) - f(cos phi, r) ~ C(r) * (1 - cos phi) ~ C(r) phi^2 / 2
-    m4 = margin(AnglePoint(1e-4, 0.5))
-    m3 = margin(AnglePoint(1e-3, 0.5))
+    m4 = margin(1e-4, 0.5)
+    m3 = margin(1e-3, 0.5)
     assert 0.0 < m4 < 1e-8
     assert 99.0 <= m3 / m4 <= 101.0
 
 
 def test_margin_rejects_phi_zero():
-    with pytest.raises(DomainError, match=r"phi in \(0, pi\)"):
-        margin(AnglePoint(0.0, 0.5))
+    with pytest.raises(DomainError, match="phi grid must be positive"):
+        one_point(0.0, 0.5)
 
 
 def test_margin_rejects_cosine_collapse_near_pi():
-    # within ~1.5e-8 of pi, cos(phi) rounds to exactly -1
-    with pytest.raises(DomainError, match="rounds to -1"):
-        margin(AnglePoint(math.pi - 1e-12, 0.5))
+    # within ~1.5e-8 of pi, cos(phi) rounds to exactly -1, which EvalPoint
+    # refuses; the error names the grid point
+    g = one_point(math.pi - 1e-12, 0.5)
+    with pytest.raises(DomainError, match=r"got -1\.0 \[at grid point var = "):
+        list(margins(g, Tolerance(1e-12), dispatch_eval))

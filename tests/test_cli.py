@@ -366,6 +366,21 @@ def test_table_margin_anchor(capsys):
     )
 
 
+def test_table_margin_domain_error_names_grid_point(capsys):
+    # cos(phi) rounds to -1 this close to pi, which EvalPoint refuses
+    code, out, err = run_main(
+        ["table", "--surface", "margin", "--inset", "1e-12", "--var-min", "3.14159265358",
+         "--var-max", "3.14159265358", "--var-count", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: x must lie in (-1, 1], got -1.0 "
+        "[at grid point var = 3.14159265358, r = 1e-12]\n"
+    )
+
+
 def test_table_rejects_empty_grid(capsys):
     code, _, err = run_main(
         ["table", "--surface", "f", "--var-count", "0"], capsys

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosmax.analytic import closed_form_parts, f_at_one, f_closed
+from cosmax import verify
+from cosmax.analytic import f_at_one, f_closed
 from cosmax.errors import DomainError, ToleranceUnreachable, UnsupportedParameters
 from cosmax.quadrature import f_quad
 from cosmax.series import EvalPoint, EvalResult, Tolerance, generating_lhs
@@ -222,6 +223,26 @@ def test_inequality_scan_requires_phi_grid():
         inequality_scan(small_x_grid())
 
 
+def test_inequality_scan_computes_f_at_one_once_per_r(monkeypatch):
+    # 100 phi by 100 r: one f(1, r) and one bound per r column, not per point
+    calls = {"f_at_one": 0, "f_at_one_error_bound": 0}
+
+    def counted(name):
+        fn = getattr(verify, name)
+
+        def wrapper(r):
+            calls[name] += 1
+            return fn(r)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    rep = inequality_scan(default_grid("inequality"), Tolerance(1e-10))
+    assert rep.points_checked == 10_000
+    assert calls == {"f_at_one": 100, "f_at_one_error_bound": 100}
+
+
 def test_identity_scan_passes():
     rep = identity_scan(Tolerance(1e-10))
     assert rep.kind == "identity"
@@ -236,10 +257,11 @@ def test_identity_scan_passes():
 
 def test_consistency_scan_flags_sign_flipped_arctan():
     def broken_closed(p):
-        parts = closed_form_parts(p)
-        r2 = p.r * p.r
-        value = (parts.poly_part + parts.log_part - parts.atan_part) / r2
-        return EvalResult(value, f_closed(p).error_bound, "closed_form", 0)
+        # the arctan piece 2xw atan2(wr, 1 + xr) / r^2 with its sign flipped
+        res = f_closed(p)
+        w = math.sqrt(max(0.0, 1.0 - p.x * p.x))
+        atan_piece = 2.0 * p.x * w * math.atan2(w * p.r, 1.0 + p.x * p.r) / (p.r * p.r)
+        return EvalResult(res.value - 2.0 * atan_piece, res.error_bound, "closed_form", 0)
 
     g = ScanGrid("x_grid", 0.3, 0.9, 4, 0.3, 0.9, 3)
     rep = consistency_scan(g, Tolerance(1e-10), closed_eval=broken_closed)
