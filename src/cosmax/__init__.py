@@ -10,7 +10,7 @@ phi in (0, pi), is the package's correctness evidence.
 
 from .analytic import f_at_one, f_at_one_error_bound, f_closed
 from .errors import DomainError, ToleranceUnreachable, UnsupportedParameters
-from .quadrature import QuadResult, dfdx_quad, f_quad, integrand_dfdx, integrand_f, integrate
+from .quadrature import dfdx_quad, f_quad, integrand_dfdx, integrand_f, integrate
 from .series import (
     AnglePoint,
     EvalPoint,
@@ -41,7 +41,6 @@ __all__ = [
     "DomainError",
     "EvalPoint",
     "EvalResult",
-    "QuadResult",
     "Report",
     "ScanGrid",
     "Tolerance",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,9 @@ from .quadrature import dfdx_quad, f_quad
 from .series import AnglePoint, EvalPoint, EvalResult, Tolerance, f_series, fourier_series
 from .verify import (
     DEFAULT_INSET,
+    SCAN_KINDS,
     ScanGrid,
+    _walk,
     consistency_scan,
     default_grid,
     dispatch_eval,
@@ -134,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(pe)
 
     ps = sub.add_parser("scan", help="run a verification scan over a grid")
-    ps.add_argument("--kind", choices=["consistency", "monotonicity", "inequality", "identity"],
-                    required=True, help="identity uses its fixed grid; grid flags are ignored")
+    ps.add_argument("--kind", choices=SCAN_KINDS, required=True,
+                    help="identity uses its fixed grid; grid flags are ignored")
     _add_grid_flags(ps)
     ps.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance (default 1e-10)")
     _add_output_flags(ps)
@@ -149,18 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid_from_args(args: argparse.Namespace, kind: str) -> ScanGrid:
-    inset = args.inset if args.inset is not None else DEFAULT_INSET
-    base = default_grid(kind, inset)
-    return ScanGrid(
-        base.var_kind,
-        args.var_min if args.var_min is not None else base.var_min,
-        args.var_max if args.var_max is not None else base.var_max,
-        args.var_count if args.var_count is not None else base.var_count,
-        args.r_min if args.r_min is not None else base.r_min,
-        args.r_max if args.r_max is not None else base.r_max,
-        args.r_count if args.r_count is not None else base.r_count,
-        inset,
-    )
+    """kind's default grid at the given inset, with every grid flag given replacing its field."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScanGrid)
+             if getattr(args, f.name, None) is not None}
+    return dataclasses.replace(default_grid(kind, given.get("inset", DEFAULT_INSET)), **given)
 
 
 def _eval_result(args: argparse.Namespace) -> EvalResult:
@@ -242,12 +237,12 @@ def _table_rows(args: argparse.Namespace) -> list[tuple[float, float, float, flo
                 for phi, r, m, bound, res in margins(grid, tol, dispatch_eval)]
     grid = _grid_from_args(args, "consistency")
     evaluate = dispatch_eval if args.surface == "f" else dfdx_quad
-    rows = []
-    for x in grid.var_values():
-        for r in grid.r_values():
-            res = evaluate(EvalPoint(x, r), tol)
-            rows.append((x, r, res.value, res.error_bound, res.route))
-    return rows
+
+    def row(x: float, r: float, p: EvalPoint) -> tuple[float, float, float, float, str]:
+        res = evaluate(p, tol)
+        return x, r, res.value, res.error_bound, res.route
+
+    return list(_walk(grid, row))
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -13,7 +13,6 @@ denominator equals (t+x)^2 + 1 - x^2 and stays positive away from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, ToleranceUnreachable, UnsupportedParameters
@@ -21,23 +20,6 @@ from .series import EvalPoint, EvalResult, Tolerance
 
 MAX_DEPTH = 60
 MAX_PANELS = 10**6
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    error_estimate: float
-    panels: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"value must be finite, got {self.value!r}")
-        if not (math.isfinite(self.error_estimate) and self.error_estimate >= 0.0):
-            raise DomainError(
-                f"error_estimate must be finite and >= 0, got {self.error_estimate!r}"
-            )
-        if not (isinstance(self.panels, int) and 1 <= self.panels <= MAX_PANELS):
-            raise DomainError(f"panels must be an integer in [1, {MAX_PANELS}], got {self.panels!r}")
 
 
 def _check_tx(t: float, x: float) -> None:
@@ -73,13 +55,15 @@ def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return h * (fa + 4.0 * fm + fb) / 6.0
 
 
-def integrate(g: Callable[[float], float], a: float, b: float, tol: Tolerance) -> QuadResult:
+def integrate(g: Callable[[float], float], a: float, b: float, tol: Tolerance) -> EvalResult:
     """Adaptive Simpson quadrature of g over [a, b].
 
     Bisects until the coarse/fine Simpson difference satisfies
     |S2 - S1| <= local tol (tol halves per split), then returns the
-    Richardson-extrapolated panel sum; error_estimate accumulates
-    |S2 - S1|/15 over accepted panels, so it lands well under tol.abs.
+    Richardson-extrapolated panel sum as an EvalResult routed
+    "quadrature", with work the number of accepted panels; its
+    error_bound accumulates |S2 - S1|/15 over those panels, so it lands
+    well under tol.abs.
     The estimate tracks the rule's truncation error only: summing the
     panel tree in doubles adds rounding of order |integral| * eps *
     depth, which matters only when that floor exceeds tol (large
@@ -91,7 +75,7 @@ def integrate(g: Callable[[float], float], a: float, b: float, tol: Tolerance) -
     if a > b:
         raise DomainError(f"integration bounds must satisfy a <= b, got a = {a!r}, b = {b!r}")
     if a == b:
-        return QuadResult(0.0, 0.0, 1)
+        return EvalResult(0.0, 0.0, "quadrature", 1)
 
     def ev(t: float) -> float:
         v = g(t)
@@ -141,7 +125,7 @@ def integrate(g: Callable[[float], float], a: float, b: float, tol: Tolerance) -
     fm = ev(mid0)
     whole = _simpson(fa, fm, fb, b - a)
     value, err = split(a, b, fa, fm, fb, whole, tol.abs, 0)
-    return QuadResult(value, err, panels)
+    return EvalResult(value, err, "quadrature", panels)
 
 
 def _scaled_tol(tol: Tolerance, r2: float) -> Tolerance:
@@ -152,19 +136,19 @@ def _scaled_tol(tol: Tolerance, r2: float) -> Tolerance:
     return Tolerance(max(tol.effective() * r2, 5e-324))
 
 
-def f_quad(p: EvalPoint, tol: Tolerance = Tolerance()) -> EvalResult:
-    """Evaluate f through the integral representation.
-
-    The integrate() target is pre-scaled by r^2 so the rescaled value
-    meets the user tolerance after the 1/r^2 division.
-    """
+def _quad(integrand: Callable[[float, float], float], p: EvalPoint, tol: Tolerance) -> EvalResult:
+    # the integrate() target is pre-scaled by r^2 so the rescaled value
+    # meets the user tolerance after the 1/r^2 division
     r2 = p.r * p.r
-    q = integrate(lambda t: integrand_f(t, p.x), 0.0, p.r, _scaled_tol(tol, r2))
-    return EvalResult(q.value / r2, q.error_estimate / r2, "quadrature", q.panels)
+    q = integrate(lambda t: integrand(t, p.x), 0.0, p.r, _scaled_tol(tol, r2))
+    return EvalResult(q.value / r2, q.error_bound / r2, "quadrature", q.work)
+
+
+def f_quad(p: EvalPoint, tol: Tolerance = Tolerance()) -> EvalResult:
+    """Evaluate f through the integral representation."""
+    return _quad(integrand_f, p, tol)
 
 
 def dfdx_quad(p: EvalPoint, tol: Tolerance = Tolerance()) -> EvalResult:
     """Evaluate df/dx through its integral representation; value > 0."""
-    r2 = p.r * p.r
-    q = integrate(lambda t: integrand_dfdx(t, p.x), 0.0, p.r, _scaled_tol(tol, r2))
-    return EvalResult(q.value / r2, q.error_estimate / r2, "quadrature", q.panels)
+    return _quad(integrand_dfdx, p, tol)

@@ -14,8 +14,8 @@ Four scanners, each returning a Report:
   route must be positive at every grid point.
 - inequality_scan: f(1, r) - f(cos phi, r) must exceed the combined
   evaluation error bounds, so a pass is meaningful in floating point.
-  The margins come from margins(), the one walk of the phi grid, which
-  the CLI's margin table and scripts/margin_profile.py use too.
+  The margins come from margins(), which the CLI's margin table and
+  scripts/margin_profile.py use too.
 - identity_scan: partial sums of sum (-1)^{k+1} T_k(x) r^k must approach
   their closed form within r^{N+1}/(1-r), and the generating function at
   z = -r must equal 1 minus that closed form.
@@ -24,9 +24,13 @@ Every check goes through one accumulator (_Tally.check), which takes the
 check's allowance as part of its bound and never carries it from one
 check to the next.  A check is either observed <= bound, with margin
 bound - observed (consistency, identity), or observed > bound, with the
-raw observed value as margin (forward differences, inequality).  Scans
-run sequentially in var-major then r order; min_margin ties break to
-first occurrence, so reports are deterministic for identical inputs.
+raw observed value as margin (forward differences, inequality).
+
+Every grid is walked by one generator (_walk), so every scan, margins()
+and the CLI's f and dfdx tables run var-major then r by construction,
+and every route or domain error they raise names its grid point.
+min_margin ties break to first occurrence, so reports are deterministic
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .analytic import f_at_one, f_at_one_error_bound, f_closed
 from .errors import DomainError, ToleranceUnreachable, UnsupportedParameters
@@ -56,6 +60,8 @@ MIN_DIFF_SPACING = 1e-2
 IDENTITY_PARTIAL_ORDERS = (5, 20, 80)
 
 SCAN_KINDS = ("consistency", "monotonicity", "inequality", "identity")
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -207,6 +213,22 @@ def _located(err: Exception, var: float, r: float) -> Exception:
     return type(err)(f"{err} [at grid point var = {var!r}, r = {r!r}]")
 
 
+def _walk(g: ScanGrid, fn: Callable[[float, float, EvalPoint], _T]) -> Iterator[_T]:
+    """Walk g var-major and yield fn(var, r, EvalPoint(x, r)), where x is
+    var on an x grid and cos(var) on a phi grid.  A route or domain error
+    is re-raised with the grid point it occurred at."""
+    rs = g.r_values()
+    on_phi = g.var_kind == "phi_grid"
+    for var in g.var_values():
+        x = math.cos(var) if on_phi else var
+        for r in rs:
+            try:
+                out = fn(var, r, EvalPoint(x, r))
+            except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
+                raise _located(err, var, r) from err
+            yield out
+
+
 def _require_kind(g: ScanGrid, kind: str, op: str) -> None:
     if g.var_kind != kind:
         raise DomainError(f"{op} requires var_kind = {kind!r}, got {g.var_kind!r}")
@@ -263,15 +285,14 @@ def margins(
     is re-raised with the grid point it occurred at.
     """
     _require_kind(g, "phi_grid", "margins")
-    column = [(r, f_at_one(r), f_at_one_error_bound(r)) for r in g.r_values()]
-    for phi in g.var_values():
-        x = math.cos(phi)
-        for r, f1, b1 in column:
-            try:
-                res = eval_fn(EvalPoint(x, r), tol)
-            except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
-                raise _located(err, phi, r) from err
-            yield phi, r, f1 - res.value, res.error_bound + b1, res
+    column = {r: (f_at_one(r), f_at_one_error_bound(r)) for r in g.r_values()}
+
+    def margin(phi: float, r: float, p: EvalPoint):
+        f1, b1 = column[r]
+        res = eval_fn(p, tol)
+        return phi, r, f1 - res.value, res.error_bound + b1, res
+
+    return _walk(g, margin)
 
 
 def consistency_scan(
@@ -293,24 +314,19 @@ def consistency_scan(
     _require_kind(g, "x_grid", "consistency_scan")
     slack = max(CONSISTENCY_SLACK, 0.5 * tol.effective())
     tally = _Tally("consistency", g)
-    for x in g.var_values():
-        for r in g.r_values():
-            p = EvalPoint(x, r)
-            tally.points += 1
-            try:
-                results = []
-                if r <= SERIES_R_MAX:
-                    results.append(series_eval(p, tol))
-                results.append(quad_eval(p, tol))
-                results.append(closed_eval(p))
-            except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
-                raise _located(err, x, r) from err
-            for i in range(len(results)):
-                for j in range(i + 1, len(results)):
-                    tally.check(
-                        x, r, abs(results[i].value - results[j].value),
-                        results[i].error_bound + results[j].error_bound + slack,
-                    )
+
+    def routes(x: float, r: float, p: EvalPoint):
+        series = [series_eval(p, tol)] if r <= SERIES_R_MAX else []
+        return x, r, [*series, quad_eval(p, tol), closed_eval(p)]
+
+    for x, r, results in _walk(g, routes):
+        tally.points += 1
+        for i in range(len(results)):
+            for j in range(i + 1, len(results)):
+                tally.check(
+                    x, r, abs(results[i].value - results[j].value),
+                    results[i].error_bound + results[j].error_bound + slack,
+                )
     return tally.report()
 
 
@@ -335,28 +351,19 @@ def monotonicity_scan(
         raise DomainError(f"monotonicity_scan requires var_count >= 3, got {g.var_count}")
     tally = _Tally("monotonicity", g)
     xs = g.var_values()
-    rs = g.r_values()
-    try:
-        values = [[eval_fn(EvalPoint(x, r), tol) for r in rs] for x in xs]
-    except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
-        raise type(err)(f"{err} [while tabulating the monotonicity grid]") from err
+    # var-major: the value at (xs[k], r of entry n) is table[k * r_count + n % r_count]
+    table = list(_walk(g, lambda x, r, p: (x, r, eval_fn(p, tol))))
     k = 0
-    for i, x in enumerate(xs):
+    for n, (x, r, lo) in enumerate(table):
         while k < len(xs) and xs[k] - x < MIN_DIFF_SPACING:
             k += 1
         if k == len(xs):
             break
-        for j, r in enumerate(rs):
-            lo, hi = values[i][j], values[k][j]
-            tally.check(x, r, hi.value - lo.value, lo.error_bound + hi.error_bound, above=True)
-    for x in xs:
-        for r in rs:
-            tally.points += 1
-            try:
-                d = dfdx_fn(EvalPoint(x, r), tol)
-            except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
-                raise _located(err, x, r) from err
-            tally.check(x, r, d.value, d.error_bound, above=True, tracked=False)
+        hi = table[k * g.r_count + n % g.r_count][2]
+        tally.check(x, r, hi.value - lo.value, lo.error_bound + hi.error_bound, above=True)
+    for x, r, d in _walk(g, lambda x, r, p: (x, r, dfdx_fn(p, tol))):
+        tally.points += 1
+        tally.check(x, r, d.value, d.error_bound, above=True, tracked=False)
     return tally.report()
 
 
@@ -395,17 +402,15 @@ def identity_scan(
     g = default_grid("identity")
     tally = _Tally("identity", g)
     algebra_tol = max(tol.effective(), 1e-13)
-    for x in g.var_values():
-        for r in g.r_values():
-            p = EvalPoint(x, r)
-            tally.points += 1
-            lhs = lhs_fn(p)
-            for n in IDENTITY_PARTIAL_ORDERS:
-                tally.check(
-                    x, r, abs(lhs - generating_partial_sum(p, n)),
-                    r ** (n + 1) / (1.0 - r) + 1e-12,
-                )
-            z = -r
-            gen = (1.0 - x * z) / (1.0 - 2.0 * x * z + z * z)
-            tally.check(x, r, abs(gen - (1.0 - lhs)), algebra_tol)
+
+    def sums(x: float, r: float, p: EvalPoint):
+        return x, r, lhs_fn(p), [generating_partial_sum(p, n) for n in IDENTITY_PARTIAL_ORDERS]
+
+    for x, r, lhs, partials in _walk(g, sums):
+        tally.points += 1
+        for n, partial in zip(IDENTITY_PARTIAL_ORDERS, partials):
+            tally.check(x, r, abs(lhs - partial), r ** (n + 1) / (1.0 - r) + 1e-12)
+        z = -r
+        gen = (1.0 - x * z) / (1.0 - 2.0 * x * z + z * z)
+        tally.check(x, r, abs(gen - (1.0 - lhs)), algebra_tol)
     return tally.report()

@@ -9,6 +9,7 @@ import pytest
 
 import cosmax.cli as cli
 from cosmax.cli import main
+from cosmax.errors import ToleranceUnreachable
 from cosmax.verify import Report, Violation
 
 
@@ -379,6 +380,19 @@ def test_table_margin_domain_error_names_grid_point(capsys):
         "error: x must lie in (-1, 1], got -1.0 "
         "[at grid point var = 3.14159265358, r = 1e-12]\n"
     )
+
+
+def test_table_dfdx_tolerance_error_names_grid_point(capsys, monkeypatch):
+    def unreachable(p, tol):
+        raise ToleranceUnreachable("quadrature gave up")
+
+    monkeypatch.setattr(cli, "dfdx_quad", unreachable)
+    code, out, err = run_main(
+        ["table", "--surface", "dfdx", "--var-count", "3", "--r-count", "2"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.endswith("[at grid point var = -0.999, r = 0.01]\n")
 
 
 def test_table_rejects_empty_grid(capsys):

@@ -364,5 +364,14 @@ def test_scan_error_is_annotated_with_grid_point():
     def boom_plain(p, tol):
         raise UnsupportedParameters("cannot evaluate here")
 
-    with pytest.raises(UnsupportedParameters, match="tabulating the monotonicity grid"):
+    with pytest.raises(UnsupportedParameters, match=r"\[at grid point var = -0\.9, r = 0\.1\]$"):
         monotonicity_scan(small_x_grid(r_count=3), Tolerance(1e-10), eval_fn=boom_plain)
+
+
+def test_identity_scan_error_is_annotated_with_grid_point():
+    def boom(p):
+        raise DomainError("cannot evaluate here")
+
+    with pytest.raises(DomainError) as info:
+        identity_scan(Tolerance(1e-10), lhs_fn=boom)
+    assert str(info.value) == "cannot evaluate here [at grid point var = -0.9, r = 0.05]"
