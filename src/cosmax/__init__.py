@@ -1,11 +1,12 @@
 """Three-route evaluation and verification of the alternating Chebyshev
 cosine series f(x, r) = sum_{k>=1} (-1)^{k+1} r^k T_k(x) / (k+2).
 
-The three routes (truncated series with a rigorous tail bound, adaptive
-Simpson quadrature of an integral representation, explicit closed form)
-are mathematically identical; their mutual agreement, plus grid scans of
-monotonicity in x and of the inequality f(1, r) > f(cos phi, r) for
-phi in (0, pi), is the package's correctness evidence.
+The three routes (truncated series with a rigorous tail bound plus a
+first-order rounding estimate that is not a proof, adaptive Simpson
+quadrature of an integral representation, explicit closed form) are
+mathematically identical; their mutual agreement, plus grid scans of
+monotonicity in x and of the inequality f(1, r) > f(cos phi, r) for phi in
+(0, pi), is the package's correctness evidence.
 """
 
 from .analytic import f_at_one, f_at_one_error_bound, f_closed

@@ -7,9 +7,9 @@ Integrating the representation of f termwise gives
 
 and at x = 1 this collapses to f(1, r) = (log(1+r) - r + r^2/2) / r^2.
 The bracket shrinks to O(r^3) while its pieces stay O(r), so small r is
-catastrophically cancellative: below r = 1e-3, f_at_one sums a short
-alternating series and f_closed delegates to the series route (the
-margin f(1, r) - f(x, r) is cosmax.verify.margins).  All log(1 + u)
+catastrophically cancellative: below r = 1e-3, f_closed delegates to the
+series route at every x, and f_at_one sums a short alternating series
+(the margin f(1, r) - f(x, r) is cosmax.verify.margins).  All log(1 + u)
 shapes go through math.log1p, which keeps the absolute error near 1e-12
 at r ~ 1e-3 where the naive form would lose ~1e-10 (enough to swamp the
 smallest scan margins).
@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .series import TOL_MIN, EvalPoint, EvalResult, Tolerance, f_series
+from .series import _EPS, TOL_MIN, EvalPoint, EvalResult, Tolerance, f_series
 
 SMALL_R = 1e-3
-_EPS = 2.220446049250313e-16  # 2**-52
 
 
 def _check_r(r: float) -> None:
@@ -74,14 +73,15 @@ def _closed(x: float, r: float) -> tuple[float, float]:
 def f_closed(p: EvalPoint) -> EvalResult:
     """Evaluate f by the explicit antiderivative.
 
-    x = 1 delegates to f_at_one (w = 0 kills the arctan term); r < 1e-3
-    delegates to the series route at tolerance 1e-15 and honestly reports
-    route "series".  error_bound is the heuristic budget from the bracket
-    scale; rigorous bounds come from the series and quadrature routes.
+    r < 1e-3, x = 1 included, delegates to the series route at tolerance
+    1e-15 and honestly reports route "series"; otherwise x = 1 goes to
+    f_at_one (w = 0 kills the arctan term).  The closed-form error_bound
+    is the heuristic budget from the bracket scale; the series and
+    quadrature routes report their own bounds.
     """
-    if p.x == 1.0:
-        return EvalResult(f_at_one(p.r), _closed(1.0, p.r)[1], "closed_form", 0)
     if p.r < SMALL_R:
         return f_series(p, Tolerance(TOL_MIN))
+    if p.x == 1.0:
+        return EvalResult(f_at_one(p.r), _closed(1.0, p.r)[1], "closed_form", 0)
     value, bound = _closed(p.x, p.r)
     return EvalResult(value, bound, "closed_form", 0)

@@ -2,11 +2,12 @@
 
 Since |T_k(x)| <= 1 on [-1, 1], the tail after N terms obeys
 
-    |R_N| <= sum_{k>N} r^k / (k+2) <= r^{N+1} / ((N+3)(1-r)),
+    |R_N| <= sum_{k>N} r^k / (k+2) <= r^{N+1} / ((N+3)(1-r)).
 
-which is the bound this module certifies.  It diverges as r -> 1, so the
-series route refuses r above 1 - 1e-9; r = 1 is served by the quadrature
-and closed-form routes instead.  The same truncation rule drives the
+error_bound adds eps * (sum of |partial sums| + 4N|total|), a first-order
+rounding estimate, not a proof (Higham, 2002, ch. 3).  The tail bound
+diverges as r -> 1, so the series route refuses r above 1 - 1e-9; r = 1
+is served by quadrature and the closed form.  The same rules drive the
 cosine-side sum S(phi, r) = sum (-1)^{k+1} r^k cos(k phi) / (k+2).
 """
 
@@ -21,6 +22,7 @@ TOL_MIN = 1e-15  # below double-precision resolution the bound would be fictitio
 TOL_MAX = 1e-2
 SERIES_R_MAX = 1.0 - 1e-9
 N_CAP = 10**7
+_EPS = 2.220446049250313e-16  # 2**-52
 
 ROUTES = ("series", "quadrature", "closed_form")
 
@@ -82,8 +84,8 @@ class AnglePoint:
 class EvalResult:
     """Evaluation outcome: value, reported error bound, route tag, work count.
 
-    Series bounds are rigorous truncation bounds; quadrature reports its
-    Richardson error estimate; the closed form reports a heuristic
+    Series: rigorous tail bound plus a first-order rounding estimate (not
+    a proof); quadrature: Richardson error estimate; closed form: heuristic
     rounding budget.  work counts terms summed or panels used.
     """
 
@@ -129,8 +131,8 @@ def _terms_needed(r: float, tol_abs: float) -> int:
     return hi
 
 
-def _tail_bound(r: float, n: int) -> float:
-    return r ** (n + 1) / ((n + 3) * (1.0 - r))
+def _bound(r: float, n: int, total: float, partials: float) -> float:
+    return r ** (n + 1) / ((n + 3) * (1.0 - r)) + _EPS * (partials + 4 * n * abs(total))
 
 
 def _require_series_r(r: float) -> None:
@@ -145,23 +147,24 @@ def f_series(p: EvalPoint, tol: Tolerance = Tolerance()) -> EvalResult:
     """Sum the series at (x, r) to the certified tail bound.
 
     Ascending k with T_k updated by the three-term recurrence and r^k by a
-    running product.  error_bound is the tail bound at the chosen N;
-    raises UnsupportedParameters for r > 1 - 1e-9 and ToleranceUnreachable
-    if N would exceed 10^7.
+    running product.  error_bound adds the rounding estimate (not a proof)
+    to the tail bound at the chosen N; raises UnsupportedParameters for
+    r > 1 - 1e-9 and ToleranceUnreachable if N would exceed 10^7.
     """
     _require_series_r(p.r)
     n = _terms_needed(p.r, tol.effective())
     x, r = p.x, p.r
-    total = 0.0
+    total = partials = 0.0
     prev, cur = 1.0, x  # T_0, T_1
     rk = r
     sign = 1.0
     for k in range(1, n + 1):
         total += sign * rk * cur / (k + 2)
+        partials += abs(total)
         prev, cur = cur, 2.0 * x * cur - prev
         rk *= r
         sign = -sign
-    return EvalResult(total, _tail_bound(r, n), "series", n)
+    return EvalResult(total, _bound(r, n, total, partials), "series", n)
 
 
 def fourier_series(a: AnglePoint, tol: Tolerance = Tolerance()) -> EvalResult:
@@ -172,14 +175,15 @@ def fourier_series(a: AnglePoint, tol: Tolerance = Tolerance()) -> EvalResult:
     """
     _require_series_r(a.r)
     n = _terms_needed(a.r, tol.effective())
-    total = 0.0
+    total = partials = 0.0
     rk = a.r
     sign = 1.0
     for k in range(1, n + 1):
         total += sign * rk * math.cos(k * a.phi) / (k + 2)
+        partials += abs(total)
         rk *= a.r
         sign = -sign
-    return EvalResult(total, _tail_bound(a.r, n), "series", n)
+    return EvalResult(total, _bound(a.r, n, total, partials), "series", n)
 
 
 def generating_lhs(p: EvalPoint) -> float:

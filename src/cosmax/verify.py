@@ -54,7 +54,6 @@ from .series import (
 )
 
 DEFAULT_INSET = 1e-3
-SERIES_DISPATCH_R = 1e-3
 CONSISTENCY_SLACK = 1e-12
 MIN_DIFF_SPACING = 1e-2
 IDENTITY_PARTIAL_ORDERS = (5, 20, 80)
@@ -99,9 +98,9 @@ class ScanGrid:
         if self.r_min > self.r_max:
             raise DomainError(f"r_min {self.r_min!r} exceeds r_max {self.r_max!r}")
         if self.var_kind == "x_grid":
-            if self.var_min < -1.0 + self.inset or self.var_max > 1.0:
+            if self.var_min < -1.0 + self.inset or self.var_min <= -1.0 or self.var_max > 1.0:
                 raise DomainError(
-                    f"x grid must lie in [{-1.0 + self.inset!r}, 1], "
+                    f"x grid must lie in [{-1.0 + self.inset!r}, 1] above -1, "
                     f"got [{self.var_min!r}, {self.var_max!r}]"
                 )
         else:
@@ -196,14 +195,10 @@ def default_grid(kind: str, inset: float = DEFAULT_INSET) -> ScanGrid:
 
 
 def dispatch_eval(p: EvalPoint, tol: Tolerance = Tolerance()) -> EvalResult:
-    """Route selection: series below r = 1e-3 (avoids the 1/r^2 rescaling
-    amplification in quadrature and the closed form's cancellation),
-    closed form otherwise, quadrature as the fallback when the chosen
-    route refuses the point or gives up on the tolerance."""
+    """f_closed (which takes the series route itself at small r), with
+    quadrature at tol as the fallback when it refuses the point or gives
+    up on the tolerance."""
     try:
-        # not left to f_closed: its series call at tol 1e-15 misses the bound (no rounding term) more often
-        if p.r < SERIES_DISPATCH_R:
-            return f_series(p, tol)
         return f_closed(p)
     except (DomainError, UnsupportedParameters, ToleranceUnreachable):
         return f_quad(p, tol)

@@ -87,6 +87,8 @@ def test_f_closed_small_r_delegates_to_series():
     assert abs(res.value - 1e-4 * 0.5 / 3.0) <= 1e-8
     # the delegation boundary itself stays on the closed form
     assert f_closed(EvalPoint(0.5, SMALL_R)).route == "closed_form"
+    # x = 1 takes the series too below the boundary
+    assert f_closed(EvalPoint(1.0, 1e-4)).route == "series"
 
 
 def test_f_closed_branch_continuity_near_x_one():

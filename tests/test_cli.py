@@ -112,7 +112,7 @@ def test_eval_csv_row_is_frozen(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "value,error_bound,route,work"
-    assert lines[1] == "0.11901218002132,9.62465470220441e-13,series,68"
+    assert lines[1] == "0.11901218002132,9.7144821490202e-13,series,68"
 
 
 def test_eval_json_payload(capsys):
@@ -261,6 +261,17 @@ def test_scan_grid_flag_validation(capsys):
     )
     assert code == 2
     assert "phi grid" in err
+
+
+def test_scan_refuses_x_grid_rounding_to_minus_one(capsys):
+    # -1 + 1e-17 rounds to -1: the grid is refused before any evaluation
+    code, _, err = run_main(
+        ["scan", "--kind", "consistency", "--inset", "1e-17",
+         "--var-count", "2", "--r-count", "2"], capsys,
+    )
+    assert code == 2
+    assert "x grid" in err
+    assert "[at grid point" not in err
 
 
 def test_scan_csv_json_deterministic_in_process(capsys):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from cosmax.series import (
     generating_lhs,
     generating_partial_sum,
 )
+from cosmax.verify import dispatch_eval
 
 # high-precision reference values (50-digit arithmetic), frozen
 F_1_HALF = 0.12186043243265753   # f(1, 0.5) = (log 1.5 - 0.5 + 0.125)/0.25
@@ -97,9 +99,17 @@ def test_tiny_r_leading_term():
 
 
 def test_error_bound_is_tail_bound():
+    # tail bound plus eps * (sum of |partial sums| + 4 n |total|)
     res = f_series(EvalPoint(0.3, 0.7), Tolerance(1e-10))
     n = res.work
-    assert res.error_bound == pytest.approx(0.7 ** (n + 1) / ((n + 3) * 0.3), rel=1e-12)
+    theta = math.acos(0.3)
+    partials = [
+        sum((-1) ** (k + 1) * 0.7**k * math.cos(k * theta) / (k + 2) for k in range(1, m + 1))
+        for m in range(1, n + 1)
+    ]
+    tail = 0.7 ** (n + 1) / ((n + 3) * 0.3)
+    rounding = 2.0**-52 * (sum(map(abs, partials)) + 4 * n * abs(res.value))
+    assert res.error_bound == pytest.approx(tail + rounding, rel=1e-12, abs=0)
     assert res.error_bound <= 1e-10
     # N is minimal: one fewer term would miss the tolerance
     assert 0.7**n / ((n + 2) * 0.3) > 1e-10
@@ -261,3 +271,24 @@ def test_route_tag_and_bound_nonnegative():
     assert res.route == "series"
     assert res.error_bound >= 0.0
     assert math.isfinite(res.value)
+
+
+# f(x, r) to 40 digits: the closed form in mpmath 1.3.0 at raised precision, frozen
+SERIES_ORACLE = [
+    ((1.0, 2.6987531657630434e-06), "8.995825677744498528138520858842497051988e-7"),
+    ((-0.9999998491761947, 7.53325416589302e-06), "-2.511098530789512221256327738980823380599e-6"),
+    ((-0.9999996403471823, 0.9982956054924639), "-4.784574813627806323768119563438887886978"),
+]
+
+
+def test_series_bound_covers_rounding_against_oracle():
+    # at the first two points the rounding of the sum, not its tail,
+    # dominates the error; a truncation-only bound misses all three
+    tol = Tolerance(1e-12)
+    for i, ((x, r), ref) in enumerate(SERIES_ORACLE):
+        p = EvalPoint(x, r)
+        routes = [f_series, dispatch_eval] if i < 2 else [f_series]
+        for route in routes:
+            res = route(p, tol)
+            err = abs(Decimal(res.value) - Decimal(ref))
+            assert err <= Decimal(res.error_bound), (x, r, route)

@@ -53,6 +53,9 @@ def test_scan_grid_validation():
         ScanGrid("x_grid", -1.0, 1.0, 5, 0.1, 1.0, 5)
     with pytest.raises(DomainError, match="x grid"):
         ScanGrid("x_grid", 0.0, 1.0 + 1e-9, 5, 0.1, 1.0, 5)
+    # an inset too small to move -1 + inset off -1
+    with pytest.raises(DomainError, match="x grid"):
+        ScanGrid("x_grid", -1.0, 1.0, 2, 0.01, 1.0, 2, 1e-17)
     with pytest.raises(DomainError, match="phi grid"):
         ScanGrid("phi_grid", 0.0, 1.0, 5, 0.1, 1.0, 5)
     with pytest.raises(DomainError, match="phi grid"):
@@ -120,7 +123,9 @@ def test_dispatch_falls_back_to_quadrature(monkeypatch):
     def give_up(p, tol):
         raise ToleranceUnreachable("route gave up")
 
-    monkeypatch.setattr("cosmax.verify.f_series", give_up)
+    # the series route f_closed takes at small r gives up
+    monkeypatch.undo()
+    monkeypatch.setattr("cosmax.analytic.f_series", give_up)
     res = dispatch_eval(EvalPoint(0.5, 1e-5), Tolerance(1e-10))
     assert res.route == "quadrature"
 
