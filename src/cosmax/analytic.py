@@ -9,10 +9,13 @@ and at x = 1 this collapses to f(1, r) = (log(1+r) - r + r^2/2) / r^2.
 The bracket shrinks to O(r^3) while its pieces stay O(r), so small r is
 catastrophically cancellative: below r = 1e-3, f_closed delegates to the
 series route at every x, and f_at_one sums a short alternating series
-(the margin f(1, r) - f(x, r) is cosmax.verify.margins).  All log(1 + u)
-shapes go through math.log1p, which keeps the absolute error near 1e-12
-at r ~ 1e-3 where the naive form would lose ~1e-10 (enough to swamp the
-smallest scan margins).
+(the margin f(1, r) - f(x, r) is cosmax.verify.margins).  The log is
+log1p(r(r + 2x)) wherever D = r^2 + 2xr + 1 >= 0.5, which keeps the
+absolute error near 1e-12 at r ~ 1e-3 where the naive form would lose
+~1e-10 (enough to swamp the smallest scan margins); below 0.5, near
+x = -1 and r = 1, it is log D with D = (r + x)^2 + (1 - x)(1 + x), free
+of cancellation.  The arctangent is atan2(wr, (1 - r) + r(1 + x)), so
+1 + xr is not formed from cancelling terms either.
 """
 
 from __future__ import annotations
@@ -55,16 +58,18 @@ def f_at_one_error_bound(r: float) -> float:
 def _closed(x: float, r: float) -> tuple[float, float]:
     """The closed form at (x, r) and its heuristic rounding budget.
 
-    w uses sqrt(max(0, 1-x^2)) to absorb negative rounding residue near
-    |x| = 1; the log argument is handled as log1p(r(r+2x)), exact in the
-    r^2 + 2xr + 1 > 0 domain.  The budget is flagged non-rigorous: the
-    scale of the bracket pieces over r^2 measures the cancellation
-    amplification.
+    w^2 is (1-x)(1+x), since 1 - x^2 cancels near x = -1; the log and
+    arctangent take the forms of the module docstring.  The budget is
+    flagged non-rigorous: the scale of the bracket pieces over r^2
+    measures the cancellation amplification.
     """
-    w = math.sqrt(max(0.0, 1.0 - x * x))
+    w2 = (1.0 - x) * (1.0 + x)
+    w = math.sqrt(w2)
+    den = (r + x) ** 2 + w2
+    log_den = math.log(den) if den < 0.5 else math.log1p(r * (r + 2.0 * x))
     poly = 0.5 * r * r - x * r
-    log_part = (x * x - 0.5) * math.log1p(r * (r + 2.0 * x))
-    atan_part = 2.0 * x * w * math.atan2(w * r, 1.0 + x * r)
+    log_part = (x * x - 0.5) * log_den
+    atan_part = 2.0 * x * w * math.atan2(w * r, (1.0 - r) + r * (1.0 + x))
     r2 = r * r
     scale = abs(poly) + abs(log_part) + abs(atan_part)
     return (poly + log_part + atan_part) / r2, 10.0 * _EPS * scale / r2

@@ -137,8 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(pe)
 
     ps = sub.add_parser("scan", help="run a verification scan over a grid")
-    ps.add_argument("--kind", choices=SCAN_KINDS, required=True,
-                    help="identity uses its fixed grid; grid flags are ignored")
+    ps.add_argument("--kind", choices=[*SCAN_KINDS, "all"], required=True,
+                    help="identity uses its fixed grid; grid flags are ignored. all runs "
+                         "the four scans in turn, each on its default grid at --inset "
+                         "(no other grid flag), and exits 1 if any fails")
     _add_grid_flags(ps)
     ps.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance (default 1e-10)")
     _add_output_flags(ps)
@@ -151,10 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _grid_flags(args: argparse.Namespace) -> dict:
+    """The grid flags given, keyed by the ScanGrid field each one sets."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(ScanGrid)
+            if getattr(args, f.name, None) is not None}
+
+
 def _grid_from_args(args: argparse.Namespace, kind: str) -> ScanGrid:
     """kind's default grid at the given inset, with every grid flag given replacing its field."""
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScanGrid)
-             if getattr(args, f.name, None) is not None}
+    given = _grid_flags(args)
     return dataclasses.replace(default_grid(kind, given.get("inset", DEFAULT_INSET)), **given)
 
 
@@ -192,41 +199,47 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     tol = Tolerance(args.tol)
-    if args.kind == "identity":
-        report = identity_scan(tol)
-    else:
-        grid = _grid_from_args(args, args.kind)
-        runner = {
-            "consistency": consistency_scan,
-            "monotonicity": monotonicity_scan,
-            "inequality": inequality_scan,
-        }[args.kind]
-        report = runner(grid, tol)
+    kinds = SCAN_KINDS if args.kind == "all" else (args.kind,)
+    if args.kind == "all":
+        extra = [f"--{name.replace('_', '-')}" for name in _grid_flags(args) if name != "inset"]
+        if extra:
+            raise DomainError(f"--kind all runs each scan on its default grid; "
+                              f"only --inset may be given, got {', '.join(extra)}")
+    runner = {
+        "consistency": consistency_scan,
+        "monotonicity": monotonicity_scan,
+        "inequality": inequality_scan,
+    }
+    reports = [identity_scan(tol) if kind == "identity"
+               else runner[kind](_grid_from_args(args, kind), tol) for kind in kinds]
     g = f".{args.precision}g"
-    var, r = report.worst_point
-    passed = "true" if report.passed else "false"
-    plain = [
-        f"kind = {report.kind}",
-        f"points_checked = {report.points_checked}",
-        f"violations = {len(report.violations)}",
-        f"min_margin = {report.min_margin:{g}}",
-        f"worst_point = ({var:{g}}, {r:{g}})",
-        f"pass = {passed}",
-        f"elapsed_s = {report.elapsed:.3f}",
-    ]
-    plain += [
-        f"violation: var = {v.var:{g}}, r = {v.r:{g}}, "
-        f"observed = {v.observed:{g}}, bound = {v.bound:{g}}"
-        for v in report.violations
-    ]
+    rows, plain = [], []
+    for report in reports:
+        var, r = report.worst_point
+        passed = "true" if report.passed else "false"
+        rows.append((report.kind, report.points_checked, len(report.violations),
+                     report.min_margin, var, r, passed))
+        plain += [
+            f"kind = {report.kind}",
+            f"points_checked = {report.points_checked}",
+            f"violations = {len(report.violations)}",
+            f"min_margin = {report.min_margin:{g}}",
+            f"worst_point = ({var:{g}}, {r:{g}})",
+            f"pass = {passed}",
+            f"elapsed_s = {report.elapsed:.3f}",
+        ]
+        plain += [
+            f"violation: var = {v.var:{g}}, r = {v.r:{g}}, "
+            f"observed = {v.observed:{g}}, bound = {v.bound:{g}}"
+            for v in report.violations
+        ]
+    payload = [report.as_dict() for report in reports]
     _render(
         args,
         ["kind", "points_checked", "violations", "min_margin", "worst_var", "worst_r", "pass"],
-        [(report.kind, report.points_checked, len(report.violations), report.min_margin,
-          var, r, passed)],
-        payload=report.as_dict(), plain=plain,
+        rows, payload=payload if args.kind == "all" else payload[0], plain=plain,
     )
-    return EXIT_OK if report.passed else EXIT_VIOLATIONS
+    return EXIT_OK if all(report.passed for report in reports) else EXIT_VIOLATIONS
 
 
 def _table_rows(args: argparse.Namespace) -> list[tuple[float, float, float, float, str]]:

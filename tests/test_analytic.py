@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,22 @@ def test_f_closed_matches_quadrature_on_grid():
             c = f_closed(EvalPoint(x, r))
             q = f_quad(EvalPoint(x, r), Tolerance(1e-12))
             assert abs(c.value - q.value) <= c.error_bound + q.error_bound + 1e-11, (x, r)
+
+
+# f(x, r) to 40 digits: perfbench/reference.f_ref (mpmath 1.3.0), frozen
+CLOSED_ORACLE = [
+    ((-0.9999999, 0.99999), "-6.213755351016340761375506648173839170183"),
+    ((-0.99999, 0.999), "-3.907636794034763355343558078880404069927"),
+]
+
+
+def test_f_closed_bound_covers_error_near_x_minus_one_r_one():
+    # 1 - x^2, log1p(r(r+2x)) and 1 + xr all cancel here; written naively
+    # they put the error at 2.0e4 and 112 times the bound
+    for (x, r), ref in CLOSED_ORACLE:
+        res = f_closed(EvalPoint(x, r))
+        assert res.route == "closed_form"
+        assert abs(Decimal(res.value) - Decimal(ref)) <= Decimal(res.error_bound), (x, r)
 
 
 @given(

@@ -10,7 +10,7 @@ import pytest
 import cosmax.cli as cli
 from cosmax.cli import main
 from cosmax.errors import ToleranceUnreachable
-from cosmax.verify import Report, Violation
+from cosmax.verify import SCAN_KINDS, Report, Violation, default_grid
 
 
 def run_main(argv, capsys):
@@ -179,7 +179,7 @@ def test_scan_inequality_default_csv_is_frozen(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "kind,points_checked,violations,min_margin,worst_var,worst_r,pass"
-    assert lines[1] == "inequality,10000,0,1.6608474627056e-10,0.001,0.001,true"
+    assert lines[1] == "inequality,10000,0,1.66040256793353e-10,0.001,0.001,true"
 
 
 def test_scan_plain_report_fields(capsys):
@@ -235,6 +235,79 @@ def test_scan_violations_exit_code(monkeypatch, capsys):
         '"observed": 5.0, "bound": 1.0}], "min_margin": -4.0, "worst_point": [0.1, 0.2], '
         '"pass": false}\n'
     )
+
+
+def test_scan_all_csv_is_frozen(capsys):
+    code, out, _ = run_main(["scan", "--kind", "all", "--format", "csv"], capsys)
+    assert code == 0
+    assert out == (
+        "kind,points_checked,violations,min_margin,worst_var,worst_r,pass\n"
+        "consistency,800,0,5.04642696351357e-11,-0.332666666666667,0.01,true\n"
+        "monotonicity,300,0,0.00099116820059357,0.931379310344828,0.05,true\n"
+        "inequality,10000,0,1.66040256793353e-10,0.001,0.001,true\n"
+        "identity,150,0,9.99777955395075e-13,-0.9,0.45,true\n"
+    )
+
+
+def test_scan_all_refuses_grid_flags_but_inset(capsys):
+    code, out, err = run_main(["scan", "--kind", "all", "--r-count", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --kind all runs each scan on its default grid; "
+        "only --inset may be given, got --r-count\n"
+    )
+
+
+def fake_scans(monkeypatch, failing_identity=False):
+    """Replace the four scanners with stubs; return the grids they are given."""
+    grids = {}
+
+    def fake(kind):
+        def scan(*grid_and_tol):
+            grids[kind] = grid_and_tol[:-1]
+            if failing_identity and kind == "identity":
+                return Report(kind, 4, (Violation(0.1, 0.2, 5.0, 1.0),), -4.0, (0.1, 0.2), 0.0)
+            return Report(kind, 1, (), 1.0, (0.5, 0.5), 0.0)
+        return scan
+
+    for kind in SCAN_KINDS:
+        monkeypatch.setattr(cli, f"{kind}_scan", fake(kind))
+    return grids
+
+
+def test_scan_all_runs_each_default_grid_at_inset(monkeypatch, capsys):
+    grids = fake_scans(monkeypatch)
+    code, _, _ = run_main(["scan", "--kind", "all", "--inset", "0.01"], capsys)
+    assert code == 0
+    assert grids == {
+        kind: () if kind == "identity" else (default_grid(kind, 0.01),) for kind in SCAN_KINDS
+    }
+
+
+def test_scan_all_violations_exit_code(monkeypatch, capsys):
+    fake_scans(monkeypatch, failing_identity=True)
+    code, out, _ = run_main(["scan", "--kind", "all"], capsys)
+    assert code == 1
+    assert out.count("pass = true\n") == 3
+    assert out.endswith(
+        "kind = identity\npoints_checked = 4\nviolations = 1\nmin_margin = -4\n"
+        "worst_point = (0.1, 0.2)\npass = false\nelapsed_s = 0.000\n"
+        "violation: var = 0.1, r = 0.2, observed = 5, bound = 1\n"
+    )
+    code, out, _ = run_main(["scan", "--kind", "all", "--format", "csv"], capsys)
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "consistency,1,0,1,0.5,0.5,true",
+        "monotonicity,1,0,1,0.5,0.5,true",
+        "inequality,1,0,1,0.5,0.5,true",
+        "identity,4,1,-4,0.1,0.2,false",
+    ]
+    code, out, _ = run_main(["scan", "--kind", "all", "--format", "json"], capsys)
+    assert code == 1
+    assert [(rep["kind"], rep["pass"]) for rep in json.loads(out)] == [
+        ("consistency", True), ("monotonicity", True), ("inequality", True), ("identity", False),
+    ]
 
 
 def test_scan_infinite_min_margin_bytes(capsys):
@@ -310,17 +383,17 @@ def test_table_f_plain_and_json_are_frozen(capsys):
     assert code == 0
     assert out == (
         "var r value error_bound route\n"
-        "-0.999 0.01 -0.00335509990652257 4.45873016507795e-13 closed_form\n"
-        "-0.999 1 -1.73420408567836 1.05076038662907e-14 closed_form\n"
+        "-0.999 0.01 -0.00335509990652847 4.45873016507795e-13 closed_form\n"
+        "-0.999 1 -1.73420408567837 1.05076038662907e-14 closed_form\n"
         "1 0.01 0.00330853168083136 4.41876110216912e-13 closed_form\n"
         "1 1 0.193147180559945 2.64931894324848e-15 closed_form\n"
     )
     code, out, _ = run_main([*argv, "--format", "json"], capsys)
     assert code == 0
     assert out == (
-        '[{"var": -0.999, "r": 0.01, "value": -0.00335509990652257, '
+        '[{"var": -0.999, "r": 0.01, "value": -0.00335509990652847, '
         '"error_bound": 4.45873016507795e-13, "route": "closed_form"}, '
-        '{"var": -0.999, "r": 1.0, "value": -1.73420408567836, '
+        '{"var": -0.999, "r": 1.0, "value": -1.73420408567837, '
         '"error_bound": 1.05076038662907e-14, "route": "closed_form"}, '
         '{"var": 1.0, "r": 0.01, "value": 0.00330853168083136, '
         '"error_bound": 4.41876110216912e-13, "route": "closed_form"}, '
@@ -366,15 +439,15 @@ def test_table_margin_anchor(capsys):
     assert code == 0
     assert out == (
         "var,r,value,error_bound,route\n"
-        "0.001,0.001,1.6608474627056e-10,8.8795630096938e-12,closed_form\n"
-        "0.001,0.5005,2.14926746816557e-08,1.60669389253372e-14,closed_form\n"
-        "0.001,1,1.12943626118245e-08,7.51908169022289e-15,closed_form\n"
+        "0.001,0.001,1.66040256793353e-10,8.8795630096938e-12,closed_form\n"
+        "0.001,0.5005,2.14926746122668e-08,1.60669389253372e-14,closed_form\n"
+        "0.001,1,1.12943625840689e-08,7.51908169022289e-15,closed_form\n"
         "1.5707963267949,0.001,0.000332833533294532,4.44311328358878e-12,closed_form\n"
         "1.5707963267949,0.5005,0.0681445289019036,1.12446685849441e-14,closed_form\n"
         "1.5707963267949,1,0.039720770839918,6.74953597643561e-15,closed_form\n"
-        "3.14059265358979,0.001,0.0006666668997187,8.88400390290252e-12,closed_form\n"
+        "3.14059265358979,0.001,0.000666666899763277,8.88400390290252e-12,closed_form\n"
         "3.14059265358979,0.5005,0.3949933373146,2.08433255795465e-14,closed_form\n"
-        "3.14059265358979,1,5.60402977627031,2.35456738024062e-14,closed_form\n"
+        "3.14059265358979,1,5.60402977627034,2.35456738024063e-14,closed_form\n"
     )
 
 
