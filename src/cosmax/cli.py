@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("scan", help="run a verification scan over a grid")
     ps.add_argument("--kind", choices=[*SCAN_KINDS, "all"], required=True,
-                    help="identity uses its fixed grid; grid flags are ignored. all runs "
+                    help="identity uses its fixed grid and takes no grid flag. all runs "
                          "the four scans in turn, each on its default grid at --inset "
                          "(no other grid flag), and exits 1 if any fails")
     _add_grid_flags(ps)
@@ -200,11 +200,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     tol = Tolerance(args.tol)
     kinds = SCAN_KINDS if args.kind == "all" else (args.kind,)
-    if args.kind == "all":
-        extra = [f"--{name.replace('_', '-')}" for name in _grid_flags(args) if name != "inset"]
+    if args.kind in ("all", "identity"):
+        extra = [f"--{name.replace('_', '-')}" for name in _grid_flags(args)
+                 if args.kind == "identity" or name != "inset"]
         if extra:
-            raise DomainError(f"--kind all runs each scan on its default grid; "
-                              f"only --inset may be given, got {', '.join(extra)}")
+            rule = ("runs each scan on its default grid; only --inset may be given"
+                    if args.kind == "all" else "runs on its fixed grid; no grid flag may be given")
+            raise DomainError(f"--kind {args.kind} {rule}, got {', '.join(extra)}")
     runner = {
         "consistency": consistency_scan,
         "monotonicity": monotonicity_scan,

@@ -63,7 +63,9 @@ def integrate(g: Callable[[float], float], a: float, b: float, tol: Tolerance) -
     Richardson-extrapolated panel sum as an EvalResult routed
     "quadrature", with work the number of accepted panels; its
     error_bound accumulates |S2 - S1|/15 over those panels, so it lands
-    well under tol.abs.
+    well under tol.abs.  tol.abs is used as given, not clipped by
+    effective(): _quad passes a target already scaled by r^2, which may
+    lie below TOL_MIN.
     The estimate tracks the rule's truncation error only: summing the
     panel tree in doubles adds rounding of order |integral| * eps *
     depth, which matters only when that floor exceeds tol (large

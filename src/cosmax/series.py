@@ -105,29 +105,37 @@ class EvalResult:
             raise DomainError(f"work must be a nonnegative integer, got {self.work!r}")
 
 
-def _tail_log(n: int, log_r: float, log_1mr: float) -> float:
-    # log of r^{n+1} / ((n+3)(1-r))
-    return (n + 1) * log_r - math.log(n + 3) - log_1mr
+def _terms_needed(r: float, tol: Tolerance) -> int:
+    """Smallest N in [0, N_CAP] with r^{N+1}/((N+3)(1-r)) <= tol.effective().
 
-
-def _terms_needed(r: float, tol_abs: float) -> int:
-    """Smallest N >= 0 with r^{N+1}/((N+3)(1-r)) <= tol_abs, in log space."""
+    The tail bound is compared in log space at N = 0, 1, 3, 7, ... (capped
+    at N_CAP), then bisected between the last miss and the first fit.
+    Raises UnsupportedParameters for r > SERIES_R_MAX, where the bound
+    diverges, and ToleranceUnreachable if N_CAP terms do not fit.
+    """
+    if r > SERIES_R_MAX:
+        raise UnsupportedParameters(
+            f"series route requires r <= {SERIES_R_MAX!r} (tail bound diverges at r = 1), "
+            f"got r = {r!r}"
+        )
+    tol_abs = tol.effective()
     log_r = math.log(r)
     log_1mr = math.log1p(-r)
     log_tol = math.log(tol_abs)
-    if _tail_log(0, log_r, log_1mr) <= log_tol:
-        return 0
-    if _tail_log(N_CAP, log_r, log_1mr) > log_tol:
-        raise ToleranceUnreachable(
-            f"series would need more than {N_CAP} terms for tol {tol_abs:g} at r = {r:g}"
-        )
-    lo, hi = 0, N_CAP  # invariant: bound(lo) > tol >= bound(hi)
+
+    def fits(n: int) -> bool:
+        return (n + 1) * log_r - math.log(n + 3) - log_1mr <= log_tol
+
+    lo, hi = -1, 0  # after the doubling: bound(lo) > tol >= bound(hi), lo = -1 if hi = 0
+    while not fits(hi):
+        if hi == N_CAP:
+            raise ToleranceUnreachable(
+                f"series would need more than {N_CAP} terms for tol {tol_abs:g} at r = {r:g}"
+            )
+        lo, hi = hi, min(2 * hi + 1, N_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _tail_log(mid, log_r, log_1mr) <= log_tol:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
     return hi
 
 
@@ -135,35 +143,25 @@ def _bound(r: float, n: int, total: float, partials: float) -> float:
     return r ** (n + 1) / ((n + 3) * (1.0 - r)) + _EPS * (partials + 4 * n * abs(total))
 
 
-def _require_series_r(r: float) -> None:
-    if r > SERIES_R_MAX:
-        raise UnsupportedParameters(
-            f"series route requires r <= {SERIES_R_MAX!r} (tail bound diverges at r = 1), "
-            f"got r = {r!r}"
-        )
-
-
 def f_series(p: EvalPoint, tol: Tolerance = Tolerance()) -> EvalResult:
     """Sum the series at (x, r) to the certified tail bound.
 
-    Ascending k with T_k updated by the three-term recurrence and r^k by a
-    running product.  error_bound adds the rounding estimate (not a proof)
-    to the tail bound at the chosen N; raises UnsupportedParameters for
-    r > 1 - 1e-9 and ToleranceUnreachable if N would exceed 10^7.
+    Ascending k with T_k updated by the three-term recurrence and
+    (-1)^{k+1} r^k by a running product (negation is exact, so the sign
+    costs no rounding).  error_bound adds the rounding estimate (not a
+    proof) to the tail bound at the chosen N; raises UnsupportedParameters
+    for r > 1 - 1e-9 and ToleranceUnreachable if N would exceed 10^7.
     """
-    _require_series_r(p.r)
-    n = _terms_needed(p.r, tol.effective())
+    n = _terms_needed(p.r, tol)
     x, r = p.x, p.r
     total = partials = 0.0
     prev, cur = 1.0, x  # T_0, T_1
     rk = r
-    sign = 1.0
     for k in range(1, n + 1):
-        total += sign * rk * cur / (k + 2)
+        total += rk * cur / (k + 2)
         partials += abs(total)
         prev, cur = cur, 2.0 * x * cur - prev
-        rk *= r
-        sign = -sign
+        rk *= -r
     return EvalResult(total, _bound(r, n, total, partials), "series", n)
 
 
@@ -173,16 +171,13 @@ def fourier_series(a: AnglePoint, tol: Tolerance = Tolerance()) -> EvalResult:
     Equals f_series at x = cos(phi) within the two error bounds combined,
     since T_k(cos phi) = cos(k phi).
     """
-    _require_series_r(a.r)
-    n = _terms_needed(a.r, tol.effective())
+    n = _terms_needed(a.r, tol)
     total = partials = 0.0
     rk = a.r
-    sign = 1.0
     for k in range(1, n + 1):
-        total += sign * rk * math.cos(k * a.phi) / (k + 2)
+        total += rk * math.cos(k * a.phi) / (k + 2)
         partials += abs(total)
-        rk *= a.r
-        sign = -sign
+        rk *= -a.r
     return EvalResult(total, _bound(a.r, n, total, partials), "series", n)
 
 
@@ -204,10 +199,8 @@ def generating_partial_sum(p: EvalPoint, n: int) -> float:
     total = 0.0
     prev, cur = 1.0, x
     rk = r
-    sign = 1.0
     for _ in range(n):
-        total += sign * rk * cur
+        total += rk * cur
         prev, cur = cur, 2.0 * x * cur - prev
-        rk *= r
-        sign = -sign
+        rk *= -r
     return total

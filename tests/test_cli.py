@@ -259,6 +259,18 @@ def test_scan_all_refuses_grid_flags_but_inset(capsys):
     )
 
 
+@pytest.mark.parametrize("flags", [["--r-count", "3"], ["--inset", "0.5"]],
+                         ids=["r-count", "inset"])
+def test_scan_identity_refuses_every_grid_flag(capsys, flags):
+    code, out, err = run_main(["scan", "--kind", "identity", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --kind identity runs on its fixed grid; "
+        f"no grid flag may be given, got {flags[0]}\n"
+    )
+
+
 def fake_scans(monkeypatch, failing_identity=False):
     """Replace the four scanners with stubs; return the grids they are given."""
     grids = {}

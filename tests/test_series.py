@@ -15,6 +15,7 @@ from cosmax.series import (
     EvalPoint,
     EvalResult,
     Tolerance,
+    _terms_needed,
     f_series,
     fourier_series,
     generating_lhs,
@@ -257,13 +258,31 @@ def test_alternating_partial_sums_bracket_limit_at_x_one():
         assert checked >= 5
 
 
-def test_work_counts_terms():
-    res = f_series(EvalPoint(0.5, 0.5), Tolerance(1e-6))
-    n = res.work
-    tail = lambda m: 0.5 ** (m + 1) / ((m + 3) * 0.5)
-    # N is the smallest truncation whose tail bound meets the tolerance
-    assert tail(n) <= 1e-6 < tail(n - 1)
-    assert n == 16
+@pytest.mark.parametrize(
+    "r, tol, n",
+    [
+        (1e-6, 1e-6, 0),
+        (1e-3, 1e-6, 1),
+        (2e-3, 1e-6, 2),
+        (2e-2, 1e-6, 3),
+        (5e-2, 1e-6, 4),
+        (0.2, 1e-6, 7),
+        (0.25, 1e-6, 8),
+        (0.5, 1e-6, 16),
+        (0.99, 1e-6, 1132),
+        (1 - 2.5e-6, 1e-12, 9773989),
+    ],
+)
+def test_work_counts_terms(r, tol, n):
+    # N is the smallest truncation whose tail bound meets the tolerance, on
+    # both sides of the search's doubling steps N = 1, 3, 7; near N_CAP the
+    # search alone is checked, so 10^7 terms are not summed
+    if n < 10**4:
+        assert f_series(EvalPoint(0.5, r), Tolerance(tol)).work == n
+    assert _terms_needed(r, Tolerance(tol)) == n
+    log_tail = lambda m: (m + 1) * math.log(r) - math.log(m + 3) - math.log1p(-r)
+    assert log_tail(n) <= math.log(tol)
+    assert n == 0 or log_tail(n - 1) > math.log(tol)
 
 
 def test_route_tag_and_bound_nonnegative():
