@@ -62,10 +62,10 @@ def integrate(g: Callable[[float], float], a: float, b: float, tol: Tolerance) -
     |S2 - S1| <= local tol (tol halves per split), then returns the
     Richardson-extrapolated panel sum as an EvalResult routed
     "quadrature", with work the number of accepted panels; its
-    error_bound accumulates |S2 - S1|/15 over those panels, so it lands
-    well under tol.abs.  tol.abs is used as given, not clipped by
-    effective(): _quad passes a target already scaled by r^2, which may
-    lie below TOL_MIN.
+    error_bound is the summed |S2 - S1| of those panels, so it is at
+    most tol.  tol.abs is used as given, not clipped by effective():
+    _quad passes a target already scaled by r^2, which may lie below
+    TOL_MIN.
     The estimate tracks the rule's truncation error only: summing the
     panel tree in doubles adds rounding of order |integral| * eps *
     depth, which matters only when that floor exceeds tol (large
@@ -100,19 +100,18 @@ def integrate(g: Callable[[float], float], a: float, b: float, tol: Tolerance) -
         left = _simpson(flo, flm, fmid, mid - lo)
         right = _simpson(fmid, frm, fhi, hi - mid)
         delta = (left + right) - whole
-        # accept on |delta| <= tol rather than the classical 15*tol: the
-        # Richardson credit is deliberately left out of the acceptance
-        # test so the reported |delta|/15 estimate stays above the true
-        # residual of the extrapolated value (the /15 estimate is only
-        # asymptotic, and at loose tolerances the next-order term can
-        # otherwise push the real error past the report)
+        # report |delta|, not the asymptotic |delta|/15: in the h^4 regime
+        # |delta| is about 15x S2's error, which the extrapolated value
+        # improves on.  It is an estimate, not a proof (a few wide panels
+        # can exceed it); each |delta| is within its halved share of tol,
+        # so the sum is at most tol
         if abs(delta) <= tol_local:
             panels += 1
             if panels > MAX_PANELS:
                 raise ToleranceUnreachable(
                     f"quadrature exceeded {MAX_PANELS} panels before reaching the tolerance"
                 )
-            return (left + right) + delta / 15.0, abs(delta) / 15.0
+            return (left + right) + delta / 15.0, abs(delta)
         if depth >= MAX_DEPTH:
             raise ToleranceUnreachable(
                 f"quadrature exceeded recursion depth {MAX_DEPTH} before reaching the tolerance"

@@ -85,7 +85,8 @@ class EvalResult:
     """Evaluation outcome: value, reported error bound, route tag, work count.
 
     Series: rigorous tail bound plus a first-order rounding estimate (not
-    a proof); quadrature: Richardson error estimate; closed form: heuristic
+    a proof); quadrature: summed Simpson difference |S2 - S1| of the
+    accepted panels (an estimate, not a proof); closed form: heuristic
     rounding budget.  work counts terms summed or panels used.
     """
 

@@ -3,12 +3,7 @@
 Four scanners, each returning a Report:
 
 - consistency_scan: every admissible route pair must agree within the sum
-  of its two reported bounds plus a slack of max(1e-12, tol/2), the same
-  slack for every pair at every grid point.  The slack
-  scales with the requested tolerance because the quadrature error
-  estimate is asymptotic: at coarse tolerances (panels too wide for the
-  h^4 model) the true error can run a small factor past the report, and
-  tol/2 absorbs that without loosening the tight-tolerance regime.
+  of its two reported bounds.
 - monotonicity_scan: forward differences of f in x, between points at
   least MIN_DIFF_SPACING apart, must be positive, and the derivative
   route must be positive at every grid point.
@@ -54,7 +49,6 @@ from .series import (
 )
 
 DEFAULT_INSET = 1e-3
-CONSISTENCY_SLACK = 1e-12
 MIN_DIFF_SPACING = 1e-2
 IDENTITY_PARTIAL_ORDERS = (5, 20, 80)
 
@@ -97,6 +91,14 @@ class ScanGrid:
             raise DomainError(f"var_min {self.var_min!r} exceeds var_max {self.var_max!r}")
         if self.r_min > self.r_max:
             raise DomainError(f"r_min {self.r_min!r} exceeds r_max {self.r_max!r}")
+        if self.var_count == 1 and self.var_min != self.var_max:
+            raise DomainError(
+                f"var_count 1 needs var_min == var_max, got [{self.var_min!r}, {self.var_max!r}]"
+            )
+        if self.r_count == 1 and self.r_min != self.r_max:
+            raise DomainError(
+                f"r_count 1 needs r_min == r_max, got [{self.r_min!r}, {self.r_max!r}]"
+            )
         if self.var_kind == "x_grid":
             if self.var_min < -1.0 + self.inset or self.var_min <= -1.0 or self.var_max > 1.0:
                 raise DomainError(
@@ -144,7 +146,7 @@ class Violation:
 class Report:
     """Scan outcome.
 
-    min_margin is the smallest slack observed anywhere (negative margins
+    min_margin is the smallest margin observed anywhere (negative margins
     mean violations); worst_point is where it occurred, first occurrence
     winning ties.  elapsed is wall-clock seconds and is excluded from
     machine-readable serializations so identical inputs serialize to
@@ -300,14 +302,11 @@ def consistency_scan(
 ) -> Report:
     """Compare every admissible route pair at each grid point.
 
-    A pair violates if |v_i - v_j| > bound_i + bound_j + slack, where
-    slack = max(1e-12, tol/2) (see the module docstring) is the same for
-    every pair.  The series route is skipped where it refuses r (above
-    1 - 1e-9).  The eval keyword hooks exist for mutation-sensitivity
-    fixtures.
+    A pair violates if |v_i - v_j| > bound_i + bound_j.  The series
+    route is skipped where it refuses r (above 1 - 1e-9).  The eval
+    keyword hooks exist for mutation-sensitivity fixtures.
     """
     _require_kind(g, "x_grid", "consistency_scan")
-    slack = max(CONSISTENCY_SLACK, 0.5 * tol.effective())
     tally = _Tally("consistency", g)
 
     def routes(x: float, r: float, p: EvalPoint):
@@ -320,7 +319,7 @@ def consistency_scan(
             for j in range(i + 1, len(results)):
                 tally.check(
                     x, r, abs(results[i].value - results[j].value),
-                    results[i].error_bound + results[j].error_bound + slack,
+                    results[i].error_bound + results[j].error_bound,
                 )
     return tally.report()
 

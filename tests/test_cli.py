@@ -242,7 +242,7 @@ def test_scan_all_csv_is_frozen(capsys):
     assert code == 0
     assert out == (
         "kind,points_checked,violations,min_margin,worst_var,worst_r,pass\n"
-        "consistency,800,0,5.04642696351357e-11,-0.332666666666667,0.01,true\n"
+        "consistency,800,0,4.64269635135657e-13,-0.332666666666667,0.01,true\n"
         "monotonicity,300,0,0.00099116820059357,0.931379310344828,0.05,true\n"
         "inequality,10000,0,1.66040256793353e-10,0.001,0.001,true\n"
         "identity,150,0,9.99777955395075e-13,-0.9,0.45,true\n"
@@ -269,6 +269,19 @@ def test_scan_identity_refuses_every_grid_flag(capsys, flags):
         "error: --kind identity runs on its fixed grid; "
         f"no grid flag may be given, got {flags[0]}\n"
     )
+
+
+def test_scan_refuses_one_point_axis_spanning_a_range(capsys):
+    # one r value cannot cover [inset, 1]: the scan must refuse, not keep r_min
+    code, out, err = run_main(["scan", "--kind", "inequality", "--r-count", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: r_count 1 needs r_min == r_max, got [0.001, 1.0]\n"
+    code, _, _ = run_main(
+        ["scan", "--kind", "inequality", "--r-count", "1", "--r-min", "0.5", "--r-max", "0.5",
+         "--format", "csv"], capsys,
+    )
+    assert code == 0
 
 
 def fake_scans(monkeypatch, failing_identity=False):

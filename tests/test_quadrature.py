@@ -160,6 +160,18 @@ def test_f_quad_error_bound_scales_with_r():
     assert res.error_bound <= 1e-10 + 1e-24
 
 
+@pytest.mark.parametrize("quad", [f_quad, dfdx_quad], ids=["f", "dfdx"])
+def test_quad_at_the_tolerance_clip(quad):
+    # tolerances outside [1e-15, 1e-2] act as the clip edge they round to,
+    # and the reported bound meets the clipped tolerance
+    for x, r in [(0.3, 0.01), (-0.5, 1e-3), (0.9, 0.5)]:
+        p = EvalPoint(x, r)
+        for asked, edge in [(1e-30, 1e-15), (1.0, 1e-2)]:
+            res = quad(p, Tolerance(asked))
+            assert res == quad(p, Tolerance(edge)), (x, r, asked)
+            assert res.error_bound <= Tolerance(asked).effective(), (x, r, asked)
+
+
 def test_dfdx_quad_anchor():
     # d/dx f(x, 1) at x = 0: integral of t^2(1-t^2)/(t^2+1)^2 = pi/2 - 3/2
     res = dfdx_quad(EvalPoint(0.0, 1.0), Tolerance(1e-12))

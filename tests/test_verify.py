@@ -64,6 +64,11 @@ def test_scan_grid_validation():
         ScanGrid("x_grid", 0.0, 1.0, 5, 0.0, 1.0, 5)
     with pytest.raises(DomainError, match="r grid"):
         ScanGrid("x_grid", 0.0, 1.0, 5, 0.1, 1.1, 5)
+    # a one-point axis would keep its minimum and silently drop its maximum
+    with pytest.raises(DomainError, match="var_count 1 needs var_min == var_max"):
+        ScanGrid("x_grid", 0.0, 1.0, 1, 0.1, 1.0, 5)
+    with pytest.raises(DomainError, match="r_count 1 needs r_min == r_max"):
+        ScanGrid("phi_grid", 0.1, 1.0, 5, 0.1, 1.0, 1)
 
 
 def test_grid_values_hit_endpoints_exactly():
@@ -184,11 +189,11 @@ def test_consistency_scan_requires_x_grid():
         consistency_scan(small_phi_grid())
 
 
-@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-13, 1e-14])
 def test_consistency_scan_default_grid_across_tolerances(tol):
-    # the slack scales with tol, so the full default grid must stay clean
-    # in the coarse regime where the quadrature estimate leaves its
-    # asymptotic range, not just at the tightest supported setting
+    # no allowance beyond the two reported bounds: every route's bound must
+    # cover its error on the whole default grid, from the coarse regime
+    # down to the 1e-15 clip
     rep = consistency_scan(default_grid("consistency"), Tolerance(tol))
     assert rep.passed
     assert rep.min_margin > 0.0
@@ -301,6 +306,21 @@ def test_consistency_scan_uniform_offset_spares_series_quad_pair():
     g = ScanGrid("x_grid", -0.5, 0.5, 10, 0.2, 0.9, 10)
     rep = consistency_scan(g, Tolerance(1e-12), closed_eval=closed_offset(5e-11))
     assert len(rep.violations) == 200
+
+
+def closed_bound_shrunk_by_r4(p):
+    res = f_closed(p)
+    return EvalResult(res.value, res.error_bound * p.r**4, res.route, res.work)
+
+
+def test_consistency_scan_flags_closed_bound_shrunk_by_r4():
+    # a closed-form bound too small by r^4 no longer covers its rounding
+    # error at tol 1e-12, and with no allowance the scan must say so
+    rep = consistency_scan(
+        default_grid("consistency"), Tolerance(1e-12), closed_eval=closed_bound_shrunk_by_r4,
+    )
+    assert not rep.passed
+    assert rep.min_margin < 0.0
 
 
 def negated(p, tol):
