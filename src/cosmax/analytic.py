@@ -86,7 +86,7 @@ def f_closed(p: EvalPoint) -> EvalResult:
     """
     if p.r < SMALL_R:
         return f_series(p, Tolerance(TOL_MIN))
-    if p.x == 1.0:
-        return EvalResult(f_at_one(p.r), _closed(1.0, p.r)[1], "closed_form", 0)
     value, bound = _closed(p.x, p.r)
+    if p.x == 1.0:
+        value = f_at_one(p.r)
     return EvalResult(value, bound, "closed_form", 0)

@@ -26,9 +26,9 @@ from .verify import (
     DEFAULT_INSET,
     SCAN_KINDS,
     ScanGrid,
+    _default_fields,
     _walk,
     consistency_scan,
-    default_grid,
     dispatch_eval,
     identity_scan,
     inequality_scan,
@@ -160,32 +160,28 @@ def _grid_flags(args: argparse.Namespace) -> dict:
 
 
 def _grid_from_args(args: argparse.Namespace, kind: str) -> ScanGrid:
-    """kind's default grid at the given inset, with every grid flag given replacing its field."""
+    """kind's default grid at the given inset, each grid flag given replacing its field."""
     given = _grid_flags(args)
-    return dataclasses.replace(default_grid(kind, given.get("inset", DEFAULT_INSET)), **given)
+    defaults = _default_fields(kind, given.get("inset", DEFAULT_INSET))
+    return ScanGrid(*[given.get(f.name, v) for f, v in zip(dataclasses.fields(ScanGrid), defaults)])
 
 
 def _eval_result(args: argparse.Namespace) -> EvalResult:
     tol = Tolerance(args.tol)
     if args.phi is not None:
-        phi = math.radians(args.phi) if args.degrees else args.phi
-        a = AnglePoint(phi, args.r)
+        a = AnglePoint(math.radians(args.phi) if args.degrees else args.phi, args.r)
         if args.route == "series":
             return fourier_series(a, tol)
         p = EvalPoint(math.cos(a.phi), a.r)
-        return _run_route(p, args.route, tol)
-    if args.degrees:
+    elif args.degrees:
         raise DomainError("--degrees is only meaningful together with --phi")
-    p = EvalPoint(args.x, args.r)
-    return _run_route(p, args.route, tol)
-
-
-def _run_route(p: EvalPoint, route: str, tol: Tolerance) -> EvalResult:
-    if route == "series":
+    else:
+        p = EvalPoint(args.x, args.r)
+    if args.route == "series":
         return f_series(p, tol)
-    if route == "quad":
+    if args.route == "quad":
         return f_quad(p, tol)
-    if route == "closed":
+    if args.route == "closed":
         return f_closed(p)
     return dispatch_eval(p, tol)
 
@@ -246,18 +242,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def _table_rows(args: argparse.Namespace) -> list[tuple[float, float, float, float, str]]:
     tol = Tolerance(args.tol)
+    kind, route = {"f": ("consistency", dispatch_eval), "dfdx": ("monotonicity", dfdx_quad),
+                   "margin": ("inequality", dispatch_eval)}[args.surface]
+    grid = _grid_from_args(args, kind)
     if args.surface == "margin":
-        grid = _grid_from_args(args, "inequality")
         return [(phi, r, m, bound, res.route)
-                for phi, r, m, bound, res in margins(grid, tol, dispatch_eval)]
-    grid = _grid_from_args(args, "consistency")
-    evaluate = dispatch_eval if args.surface == "f" else dfdx_quad
-
-    def row(x: float, r: float, p: EvalPoint) -> tuple[float, float, float, float, str]:
-        res = evaluate(p, tol)
-        return x, r, res.value, res.error_bound, res.route
-
-    return list(_walk(grid, row))
+                for phi, r, m, bound, res in margins(grid, tol, route)]
+    return [(var, r, res.value, res.error_bound, res.route)
+            for var, r, res in _walk(grid, lambda p: route(p, tol))]
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -23,13 +23,15 @@ raw observed value as margin (forward differences, inequality).
 
 Every grid is walked by one generator (_walk), so every scan, margins()
 and the CLI's f and dfdx tables run var-major then r by construction,
-and every route or domain error they raise names its grid point.
+and every route or domain error they raise names its grid point.  _walk
+yields each point itself, so no callback can report a wrong point.
 min_margin ties break to first occurrence, so reports are deterministic
 for identical inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -183,17 +185,22 @@ class Report:
         }
 
 
+def _default_fields(kind: str, inset: float) -> tuple:
+    """ScanGrid's fields, in order, for kind's default grid; not validated."""
+    if kind == "consistency":
+        return "x_grid", -1.0 + inset, 1.0, 40, max(0.01, inset), 1.0, 20, inset
+    if kind == "monotonicity":
+        return "x_grid", max(-0.99, -1.0 + inset), 1.0, 30, max(0.05, inset), 1.0, 10, inset
+    if kind == "inequality":
+        return "phi_grid", inset, math.pi - inset, 100, inset, 1.0, 100, inset
+    if kind == "identity":
+        return "x_grid", -0.9, 1.0, 15, 0.05, 0.95, 10, inset
+    raise DomainError(f"unknown scan kind {kind!r}")
+
+
 def default_grid(kind: str, inset: float = DEFAULT_INSET) -> ScanGrid:
     """Default grid for each scan kind, with ranges tracking the inset."""
-    if kind == "consistency":
-        return ScanGrid("x_grid", -1.0 + inset, 1.0, 40, max(0.01, inset), 1.0, 20, inset)
-    if kind == "monotonicity":
-        return ScanGrid("x_grid", max(-0.99, -1.0 + inset), 1.0, 30, max(0.05, inset), 1.0, 10, inset)
-    if kind == "inequality":
-        return ScanGrid("phi_grid", inset, math.pi - inset, 100, inset, 1.0, 100, inset)
-    if kind == "identity":
-        return ScanGrid("x_grid", -0.9, 1.0, 15, 0.05, 0.95, 10, inset)
-    raise DomainError(f"unknown scan kind {kind!r}")
+    return ScanGrid(*_default_fields(kind, inset))
 
 
 def dispatch_eval(p: EvalPoint, tol: Tolerance = Tolerance()) -> EvalResult:
@@ -210,8 +217,8 @@ def _located(err: Exception, var: float, r: float) -> Exception:
     return type(err)(f"{err} [at grid point var = {var!r}, r = {r!r}]")
 
 
-def _walk(g: ScanGrid, fn: Callable[[float, float, EvalPoint], _T]) -> Iterator[_T]:
-    """Walk g var-major and yield fn(var, r, EvalPoint(x, r)), where x is
+def _walk(g: ScanGrid, fn: Callable[[EvalPoint], _T]) -> Iterator[tuple[float, float, _T]]:
+    """Walk g var-major and yield (var, r, fn(EvalPoint(x, r))), where x is
     var on an x grid and cos(var) on a phi grid.  A route or domain error
     is re-raised with the grid point it occurred at."""
     rs = g.r_values()
@@ -220,10 +227,10 @@ def _walk(g: ScanGrid, fn: Callable[[float, float, EvalPoint], _T]) -> Iterator[
         x = math.cos(var) if on_phi else var
         for r in rs:
             try:
-                out = fn(var, r, EvalPoint(x, r))
+                out = fn(EvalPoint(x, r))
             except (DomainError, UnsupportedParameters, ToleranceUnreachable) as err:
                 raise _located(err, var, r) from err
-            yield out
+            yield var, r, out
 
 
 def _require_kind(g: ScanGrid, kind: str, op: str) -> None:
@@ -284,12 +291,13 @@ def margins(
     _require_kind(g, "phi_grid", "margins")
     column = {r: (f_at_one(r), f_at_one_error_bound(r)) for r in g.r_values()}
 
-    def margin(phi: float, r: float, p: EvalPoint):
-        f1, b1 = column[r]
-        res = eval_fn(p, tol)
-        return phi, r, f1 - res.value, res.error_bound + b1, res
+    # a generator of its own, so a wrong grid kind is refused at the call
+    def rows() -> Iterator[tuple[float, float, float, float, EvalResult]]:
+        for phi, r, res in _walk(g, lambda p: eval_fn(p, tol)):
+            f1, b1 = column[r]
+            yield phi, r, f1 - res.value, res.error_bound + b1, res
 
-    return _walk(g, margin)
+    return rows()
 
 
 def consistency_scan(
@@ -309,18 +317,14 @@ def consistency_scan(
     _require_kind(g, "x_grid", "consistency_scan")
     tally = _Tally("consistency", g)
 
-    def routes(x: float, r: float, p: EvalPoint):
-        series = [series_eval(p, tol)] if r <= SERIES_R_MAX else []
-        return x, r, [*series, quad_eval(p, tol), closed_eval(p)]
+    def routes(p: EvalPoint) -> list[EvalResult]:
+        series = [series_eval(p, tol)] if p.r <= SERIES_R_MAX else []
+        return [*series, quad_eval(p, tol), closed_eval(p)]
 
     for x, r, results in _walk(g, routes):
         tally.points += 1
-        for i in range(len(results)):
-            for j in range(i + 1, len(results)):
-                tally.check(
-                    x, r, abs(results[i].value - results[j].value),
-                    results[i].error_bound + results[j].error_bound,
-                )
+        for a, b in itertools.combinations(results, 2):
+            tally.check(x, r, abs(a.value - b.value), a.error_bound + b.error_bound)
     return tally.report()
 
 
@@ -346,7 +350,7 @@ def monotonicity_scan(
     tally = _Tally("monotonicity", g)
     xs = g.var_values()
     # var-major: the value at (xs[k], r of entry n) is table[k * r_count + n % r_count]
-    table = list(_walk(g, lambda x, r, p: (x, r, eval_fn(p, tol))))
+    table = list(_walk(g, lambda p: eval_fn(p, tol)))
     k = 0
     for n, (x, r, lo) in enumerate(table):
         while k < len(xs) and xs[k] - x < MIN_DIFF_SPACING:
@@ -355,7 +359,7 @@ def monotonicity_scan(
             break
         hi = table[k * g.r_count + n % g.r_count][2]
         tally.check(x, r, hi.value - lo.value, lo.error_bound + hi.error_bound, above=True)
-    for x, r, d in _walk(g, lambda x, r, p: (x, r, dfdx_fn(p, tol))):
+    for x, r, d in _walk(g, lambda p: dfdx_fn(p, tol)):
         tally.points += 1
         tally.check(x, r, d.value, d.error_bound, above=True, tracked=False)
     return tally.report()
@@ -397,10 +401,10 @@ def identity_scan(
     tally = _Tally("identity", g)
     algebra_tol = max(tol.effective(), 1e-13)
 
-    def sums(x: float, r: float, p: EvalPoint):
-        return x, r, lhs_fn(p), [generating_partial_sum(p, n) for n in IDENTITY_PARTIAL_ORDERS]
+    def sums(p: EvalPoint) -> tuple[float, list[float]]:
+        return lhs_fn(p), [generating_partial_sum(p, n) for n in IDENTITY_PARTIAL_ORDERS]
 
-    for x, r, lhs, partials in _walk(g, sums):
+    for x, r, (lhs, partials) in _walk(g, sums):
         tally.points += 1
         for n, partial in zip(IDENTITY_PARTIAL_ORDERS, partials):
             tally.check(x, r, abs(lhs - partial), r ** (n + 1) / (1.0 - r) + 1e-12)

@@ -372,6 +372,22 @@ def test_scan_refuses_x_grid_rounding_to_minus_one(capsys):
     assert "[at grid point" not in err
 
 
+@pytest.mark.parametrize("command", [["scan", "--kind", "consistency"], ["table", "--surface", "f"]],
+                         ids=["scan", "table"])
+def test_grid_flags_replace_defaults_before_validation(capsys, command):
+    # at inset 1e-17 the default x range starts at -1 + 1e-17 == -1, so only
+    # a grid whose flags replace that start is valid
+    code, out, err = run_main(
+        [*command, "--inset", "1e-17", "--var-min", "-0.5", "--var-count", "3", "--r-count", "2"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out
+    code, out, err = run_main([*command, "--inset", "1e-17"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: x grid must lie in [-1.0, 1] above -1, got [-1.0, 1.0]\n"
+
+
 def test_scan_csv_json_deterministic_in_process(capsys):
     argv = ["scan", "--kind", "identity", "--format", "json"]
     _, out1, _ = run_main(argv, capsys)
@@ -501,7 +517,22 @@ def test_table_dfdx_tolerance_error_names_grid_point(capsys, monkeypatch):
     )
     assert code == 3
     assert out == ""
-    assert err.endswith("[at grid point var = -0.999, r = 0.01]\n")
+    assert err.endswith("[at grid point var = -0.99, r = 0.05]\n")
+
+
+def test_table_dfdx_default_grid_is_the_monotonicity_grid(capsys):
+    # the consistency grid's first x, -0.999, is beyond quadrature at 1e-12
+    code, out, err = run_main(["table", "--surface", "dfdx", "--format", "csv"], capsys)
+    assert code == 0
+    assert err == ""
+    header, *lines = out.splitlines()
+    assert header == "var,r,value,error_bound,route"
+    rows = [line.split(",") for line in lines]
+    assert len(rows) == 300
+    assert rows[0][:2] == ["-0.99", "0.05"]
+    for _, _, value, bound, route in rows:
+        assert route == "quadrature"
+        assert float(value) > float(bound)
 
 
 def test_table_rejects_empty_grid(capsys):
