@@ -9,8 +9,7 @@ Four scanners, each returning a Report:
   route must be positive at every grid point.
 - inequality_scan: f(1, r) - f(cos phi, r) must exceed the combined
   evaluation error bounds, so a pass is meaningful in floating point.
-  The margins come from margins(), which the CLI's margin table and
-  scripts/margin_profile.py use too.
+  The margins come from margins(), which the CLI's margin table uses too.
 - identity_scan: partial sums of sum (-1)^{k+1} T_k(x) r^k must approach
   their closed form within r^{N+1}/(1-r), and the generating function at
   z = -r must equal 1 minus that closed form.
@@ -79,7 +78,7 @@ class ScanGrid:
     def __post_init__(self) -> None:
         if self.var_kind not in ("x_grid", "phi_grid"):
             raise DomainError(f"var_kind must be x_grid or phi_grid, got {self.var_kind!r}")
-        for name in ("var_min", "var_max", "r_min", "r_max", "inset"):
+        for name in ("inset", "var_min", "var_max", "r_min", "r_max"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)):
                 raise DomainError(f"{name} must be a finite number, got {v!r}")

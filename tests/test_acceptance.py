@@ -93,6 +93,9 @@ def test_criterion_3_inequality_scan_and_inset_profile():
             > reports[1e-3].min_margin
             > 0.0
         )
+        # the worst margin sits at (phi, r) = (inset, inset) and scales like
+        # inset^3/6: one power from r, two from 1 - cos(phi)
+        assert 900.0 <= reports[1e-2].min_margin / reports[1e-3].min_margin <= 1100.0
         assert time.perf_counter() - t0 < 60.0
 
 

@@ -107,10 +107,12 @@ def test_integrate_depth_cap():
         integrate(g, 0.0, 1.0, Tolerance(1e-12))
 
 
-def test_integrate_panel_cap():
+def test_integrate_panel_cap(monkeypatch):
     # resolving 3e5 radians per unit length to 1e-14 wants more panels than
-    # the budget allows
-    with pytest.raises(ToleranceUnreachable, match="panel"):
+    # the budget allows; integrate reads the cap at call time, so a small
+    # cap reaches the same refusal in milliseconds
+    monkeypatch.setattr("cosmax.quadrature.MAX_PANELS", 1000)
+    with pytest.raises(ToleranceUnreachable, match="exceeded 1000 panels"):
         integrate(lambda t: math.cos(3e5 * t), 0.0, 1.0, Tolerance(1e-14))
 
 

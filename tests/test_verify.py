@@ -46,6 +46,9 @@ def test_scan_grid_validation():
         ScanGrid("x_grid", math.nan, 1.0, 5, 0.1, 1.0, 5)
     with pytest.raises(DomainError, match="inset"):
         ScanGrid("x_grid", 0.0, 1.0, 5, 0.1, 1.0, 5, inset=0.0)
+    # a non-finite inset is named, not the var_min derived from it
+    with pytest.raises(DomainError, match="^inset must"):
+        default_grid("consistency", math.inf)
     with pytest.raises(DomainError, match="exceeds"):
         ScanGrid("x_grid", 0.5, 0.2, 5, 0.1, 1.0, 5)
     # domain edges must respect the inset
