@@ -1,7 +1,9 @@
 """CLI behaviour beyond fixed bytes: stubs, files, processes and usage errors.
 
 The bytes each invocation prints are held by the golden corpus
-(test_cli_golden.py).
+(test_cli_golden.py).  The eval and scan tests kept here that also have a
+corpus record check what a byte diff would not name: route tags, JSON keys,
+report fields, refusal messages, and that two runs in one process agree.
 """
 
 import json
@@ -36,6 +38,39 @@ def test_eval_degrees(capsys):
     )
     assert code_deg == code_rad == 0
     assert out_deg.splitlines()[0] == out_rad.splitlines()[0]
+
+
+def test_eval_route_selection(capsys):
+    for route, tag in [("series", "series"), ("quad", "quadrature"), ("closed", "closed_form")]:
+        code, out, _ = run_main(
+            ["eval", "--x", "0.3", "--r", "0.7", "--route", route], capsys
+        )
+        assert code == 0
+        assert f"route = {tag}" in out
+
+
+def test_eval_phi_series_route_uses_angle_form(capsys):
+    # near pi the cosine collapses onto the excluded corner x = -1, but the
+    # angle-domain series needs no cosine of the full angle
+    phi = "3.14159265358979"
+    code, out, _ = run_main(["eval", "--phi", phi, "--r", "0.5", "--route", "series"], capsys)
+    assert code == 0
+    assert "route = series" in out
+    code, _, err = run_main(["eval", "--phi", phi, "--r", "0.5"], capsys)
+    assert code == 2
+    assert "x must lie in (-1, 1]" in err
+
+
+def test_eval_json_payload(capsys):
+    code, out, _ = run_main(
+        ["eval", "--x", "0.3", "--r", "0.7", "--format", "json", "--precision", "3"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["value", "error_bound", "route", "work"]
+    assert payload["value"] == 0.119
+    assert payload["route"] == "closed_form"
+    assert isinstance(payload["work"], int)
 
 
 def test_eval_argparse_usage_errors():
@@ -89,6 +124,86 @@ def test_scan_violations_exit_code(monkeypatch, capsys):
         '"observed": 5.0, "bound": 1.0}], "min_margin": -4.0, "worst_point": [0.1, 0.2], '
         '"pass": false}\n'
     )
+
+
+def test_scan_plain_report_fields(capsys):
+    code, out, _ = run_main(
+        ["scan", "--kind", "monotonicity", "--r-min", "0.5", "--r-max", "1.0",
+         "--r-count", "2", "--var-count", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert "kind = monotonicity" in out
+    assert "points_checked = 10" in out
+    assert "violations = 0" in out
+    assert "pass = true" in out
+    assert "elapsed_s = " in out
+
+
+def test_scan_identity_json_keys(capsys):
+    code, out, _ = run_main(["scan", "--kind", "identity", "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [
+        "kind", "points_checked", "violations", "min_margin", "worst_point", "pass",
+    ]
+    assert payload["kind"] == "identity"
+    assert payload["points_checked"] == 150
+    assert payload["violations"] == []
+    assert payload["pass"] is True
+    assert "elapsed" not in payload
+
+
+@pytest.mark.parametrize("flags", [["--r-count", "3"], ["--inset", "0.5"]],
+                         ids=["r-count", "inset"])
+def test_scan_identity_refuses_every_grid_flag(capsys, flags):
+    code, out, err = run_main(["scan", "--kind", "identity", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --kind identity runs on its fixed grid; "
+        f"no grid flag may be given, got {flags[0]}\n"
+    )
+
+
+def test_scan_refuses_one_point_axis_spanning_a_range(capsys):
+    # one r value cannot cover [inset, 1]: the scan must refuse, not keep r_min
+    code, out, err = run_main(["scan", "--kind", "inequality", "--r-count", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: r_count 1 needs r_min == r_max, got [0.001, 1.0]\n"
+    code, _, _ = run_main(
+        ["scan", "--kind", "inequality", "--r-count", "1", "--r-min", "0.5", "--r-max", "0.5",
+         "--format", "csv"], capsys,
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", [["scan", "--kind", "consistency"], ["table", "--surface", "f"]],
+                         ids=["scan", "table"])
+def test_grid_flags_replace_defaults_before_validation(capsys, command):
+    # at inset 1e-17 the default x range starts at -1 + 1e-17 == -1, so only
+    # a grid whose flags replace that start is valid
+    code, out, err = run_main(
+        [*command, "--inset", "1e-17", "--var-min", "-0.5", "--var-count", "3", "--r-count", "2"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out
+    code, out, err = run_main([*command, "--inset", "1e-17"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: x grid must lie in [-1.0, 1] above -1, got [-1.0, 1.0]\n"
+
+
+def test_scan_csv_json_deterministic_in_process(capsys):
+    argv = ["scan", "--kind", "identity", "--format", "json"]
+    _, out1, _ = run_main(argv, capsys)
+    _, out2, _ = run_main(argv, capsys)
+    assert out1 == out2
+    argv = ["scan", "--kind", "identity", "--format", "csv"]
+    _, out1, _ = run_main(argv, capsys)
+    _, out2, _ = run_main(argv, capsys)
+    assert out1 == out2
 
 
 def fake_scans(monkeypatch, failing_identity=False):
